@@ -43,8 +43,8 @@ func serveCell(t *testing.T, probName, txName string, n int, drop, delay float64
 func verdictBytes(t *testing.T, a artifact) []byte {
 	t.Helper()
 	b, err := json.Marshal(struct {
-		V interface{} `json:"verdict"`
-		R runSummary  `json:"run"`
+		V interface{}        `json:"verdict"`
+		R service.RunSummary `json:"run"`
 	}{a.Verdict, a.Run})
 	if err != nil {
 		t.Fatal(err)

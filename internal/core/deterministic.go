@@ -162,13 +162,23 @@ func mergeEntries(lists ...[]nbrEntry) nbrList {
 	return out
 }
 
-// detPhase runs one Deterministic-MST phase; done reports that the
-// fragment spans the graph.
-func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
-	bs := func(b int64) int64 { return phaseStart + b*c.blk }
-	maxID := c.nd.MaxID()
+// supergraph is what step (i) of a deterministic phase leaves at a
+// node: the fragment's supergraph adjacency (NBR-INFO) and the node's
+// view of the fragment MOE, which the log* coloring orients by.
+type supergraph struct {
+	nbrInfo     nbrList
+	owner       bool // this node owns the fragment MOE
+	ownerPort   int  // the MOE's port at its owner, -1 elsewhere
+	mutualMOE   bool // the MOE is also the far fragment's MOE
+	outAccepted bool // the far fragment accepted the MOE
+	inAccepted  bool // this fragment accepted the far side's MOE on the same edge
+}
 
-	// --- Step (i): find the fragment MOE -------------------------------
+// supergraphStep runs step (i), shared by Deterministic-MST and the
+// log* variant: find the fragment MOE, accept at most acceptBudget
+// incoming MOEs fragment-wide, and gather the supergraph adjacency at
+// every member. It returns false when the fragment spans the graph.
+func (c *nodeCtx) supergraphStep(bs func(int64) int64) (supergraph, bool) {
 	c.taFragment(bs(dbTAFrag))
 	moe := c.upcastMOE(bs(dbUpMOE))
 
@@ -183,30 +193,33 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	ph := c.broadcastMOE(bs(dbBcastMOE), rootMsg)
 	c.stepDone(trace.StepFindMOE)
 	if !ph.exists {
-		return true
+		return supergraph{}, false
 	}
 	owner := c.isMOEOwner(&ph.moe)
+	sg := supergraph{owner: owner, ownerPort: -1}
 
 	// Announce the fragment MOE on its edge; learn which incident edges
 	// are incoming MOEs from other fragments.
 	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
-	out := make(sim.Outbox, c.nd.Degree())
-	for p := 0; p < c.nd.Degree(); p++ {
+	out := c.nd.Outbox()
+	for p := range out {
 		out[p] = taMOEMsg{fragID: c.st.FragID, isMOE: owner && p == ph.moe.ownerPort}
 	}
 	in := ldt.TransmitAdjacent(c.nd, bs(dbTAMOE), out)
 	c.stepDone(trace.StepMarkMOE)
 	var incomingPorts []int
 	incFrag := make(map[int]int64)
-	for p := 0; p < c.nd.Degree(); p++ {
-		raw, ok := in[p]
-		if !ok {
+	for p, raw := range in {
+		if raw == nil {
 			continue
 		}
 		msg := raw.(taMOEMsg)
 		if msg.isMOE && msg.fragID != c.st.FragID {
 			incomingPorts = append(incomingPorts, p)
 			incFrag[p] = msg.fragID
+			if owner && p == ph.moe.ownerPort {
+				sg.mutualMOE = true
+			}
 		}
 	}
 	sort.Ints(incomingPorts)
@@ -215,12 +228,13 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	// count per subtree, then distribute tokens top-down.
 	childCount := make(map[int]int64)
 	total := ldt.Up(c.nd, c.st, bs(dbUpCount), intPayload(len(incomingPorts)),
-		func(own interface{}, fromChildren map[int]interface{}) interface{} {
+		func(own interface{}, fromChildren sim.Inbox) interface{} {
 			sum := int64(own.(intPayload))
-			for port, v := range fromChildren {
-				cnt := int64(v.(intPayload))
-				childCount[port] = cnt
-				sum += cnt
+			for _, port := range c.st.Children {
+				if v := fromChildren[port]; v != nil {
+					childCount[port] = int64(v.(intPayload))
+					sum += childCount[port]
+				}
 			}
 			return intPayload(sum)
 		})
@@ -230,7 +244,7 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	}
 	validIn := make(map[int]bool, len(incomingPorts))
 	ldt.Down(c.nd, c.st, bs(dbDownToken), intPayload(budget),
-		func(received interface{}) map[int]interface{} {
+		func(received interface{}, outs sim.Outbox) {
 			var b int64
 			if received != nil {
 				b = int64(received.(intPayload))
@@ -242,7 +256,6 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 				validIn[p] = true
 				b--
 			}
-			outs := make(map[int]interface{})
 			for _, child := range c.st.Children {
 				if b == 0 {
 					break
@@ -256,20 +269,20 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 					b -= give
 				}
 			}
-			return outs
 		})
 
 	// Tell each incoming-MOE sender whether its MOE was accepted; the
 	// fragment's own MOE owner learns its edge's fate the same way.
-	taOut := make(sim.Outbox, len(incomingPorts))
+	taOut := c.nd.Outbox()
 	for _, p := range incomingPorts {
 		taOut[p] = validMsg{accepted: validIn[p]}
 	}
 	var myEntries []nbrEntry
-	if len(taOut) > 0 || owner {
+	if len(incomingPorts) > 0 || owner {
 		vin := ldt.TransmitAdjacent(c.nd, bs(dbTAValid), taOut)
 		if owner {
-			if raw, ok := vin[ph.moe.ownerPort]; ok && raw.(validMsg).accepted {
+			if raw := vin[ph.moe.ownerPort]; raw != nil && raw.(validMsg).accepted {
+				sg.outAccepted = true
 				myEntries = append(myEntries, nbrEntry{
 					fragID:   c.nbrFragID[ph.moe.ownerPort],
 					hostID:   c.nd.ID(),
@@ -288,10 +301,10 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	// Collect the fragment's supergraph adjacency (NBR-INFO) at the
 	// root and broadcast it to every member.
 	agg := ldt.Up(c.nd, c.st, bs(dbUpNbr), nbrList(myEntries),
-		func(own interface{}, fromChildren map[int]interface{}) interface{} {
+		func(own interface{}, fromChildren sim.Inbox) interface{} {
 			lists := [][]nbrEntry{own.(nbrList)}
-			for _, v := range fromChildren {
-				if v != nil {
+			for _, child := range c.st.Children {
+				if v := fromChildren[child]; v != nil {
 					lists = append(lists, v.(nbrList))
 				}
 			}
@@ -301,11 +314,30 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	if c.st.IsRoot() {
 		bcastPayload = agg.(nbrList)
 	}
-	nbrInfo := ldt.Broadcast(c.nd, c.st, bs(dbBcastNbr), bcastPayload).(nbrList)
+	sg.nbrInfo = ldt.Broadcast(c.nd, c.st, bs(dbBcastNbr), bcastPayload).(nbrList)
 	if c.st.IsRoot() {
-		c.nd.EmitNbrs(c.phase, len(nbrInfo))
+		c.nd.EmitNbrs(c.phase, len(sg.nbrInfo))
 	}
 	c.stepDone(trace.StepNbrInfo)
+	if owner {
+		sg.ownerPort = ph.moe.ownerPort
+		sg.inAccepted = validIn[sg.ownerPort]
+	}
+	return sg, true
+}
+
+// detPhase runs one Deterministic-MST phase; done reports that the
+// fragment spans the graph.
+func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
+	bs := func(b int64) int64 { return phaseStart + b*c.blk }
+	maxID := c.nd.MaxID()
+
+	// --- Step (i): find the fragment MOE and the supergraph -----------
+	sg, ok := c.supergraphStep(bs)
+	if !ok {
+		return true
+	}
+	nbrInfo := sg.nbrInfo
 
 	// --- Step (ii): Fast-Awake-Coloring over N ID stages ----------------
 	myColor, _ := c.fastAwakeColoring(bs, nbrInfo)
@@ -340,8 +372,8 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	dec = ldt.NoMerge
 	if myColor == Blue && len(nbrInfo) == 0 {
 		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
-		if owner {
-			dec.AttachPort = ph.moe.ownerPort
+		if sg.owner {
+			dec.AttachPort = sg.ownerPort
 		}
 	}
 	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+postColorM2), dec)
@@ -404,13 +436,15 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 			cm := ldt.Broadcast(c.nd, c.st, stageStart(s.id, 0), payload).(colorMsg)
 			myColor = cm.color
 			// Block 1: hosts push the color across supergraph edges.
-			hostOut := make(sim.Outbox)
+			hostOut := c.nd.Outbox()
+			hosting := false
 			for _, e := range nbrInfo {
 				if e.hostID == c.nd.ID() {
 					hostOut[e.hostPort] = colorMsg{fragID: c.st.FragID, color: myColor}
+					hosting = true
 				}
 			}
-			if len(hostOut) > 0 {
+			if hosting {
 				ldt.TransmitAdjacent(c.nd, stageStart(s.id, 1), hostOut)
 			}
 			// Blocks 2-3 belong to the neighboring fragments.
@@ -428,7 +462,7 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 		if len(hostPorts) > 0 {
 			in := ldt.TransmitAdjacent(c.nd, stageStart(s.id, 1), nil)
 			for _, p := range hostPorts {
-				if raw, ok := in[p]; ok {
+				if raw := in[p]; raw != nil {
 					got = raw.(colorMsg)
 				}
 			}

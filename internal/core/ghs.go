@@ -78,22 +78,19 @@ type ghsNode struct {
 	parent   int          // port toward the current root, -1 at root
 	branch   map[int]bool // ports that are tree (MST) edges
 	nbrFrag  []int64
-	deferred sim.Outbox // sends staged for the next exchange
+	deferred sim.Outbox // sends staged for the next exchange, one slot per port
 }
 
 func (gn *ghsNode) stage(port int, msg interface{}) {
-	if gn.deferred == nil {
-		gn.deferred = make(sim.Outbox, 2)
-	}
 	gn.deferred[port] = msg
 }
 
 // step exchanges the staged outbox and returns the inbox; the node is
 // awake every round, as the traditional model prescribes.
 func (gn *ghsNode) step() sim.Inbox {
-	out := gn.deferred
-	gn.deferred = nil
-	return gn.nd.Exchange(out)
+	in := gn.nd.Exchange(gn.deferred)
+	clear(gn.deferred)
+	return in
 }
 
 // treePorts returns the current branch ports, sorted.
@@ -156,11 +153,12 @@ func RunClassicGHS(g *graph.Graph, opts Options) (*Outcome, error) {
 
 	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
 		gn := &ghsNode{
-			nd:      nd,
-			fragID:  nd.ID(),
-			parent:  -1,
-			branch:  make(map[int]bool),
-			nbrFrag: make([]int64, nd.Degree()),
+			nd:       nd,
+			fragID:   nd.ID(),
+			parent:   -1,
+			branch:   make(map[int]bool),
+			nbrFrag:  make([]int64, nd.Degree()),
+			deferred: make(sim.Outbox, nd.Degree()),
 		}
 		for phase := 0; phase < maxPhases; phase++ {
 			halted, err := gn.phase(1+int64(phase)*phaseLen, window)
@@ -211,14 +209,14 @@ func (gn *ghsNode) phase(start, window int64) (bool, error) {
 	// the local MOE candidate.
 	gn.nd.SleepUntil(start)
 	deg := gn.nd.Degree()
-	fout := make(sim.Outbox, deg)
-	for p := 0; p < deg; p++ {
+	fout := gn.nd.Outbox()
+	for p := range fout {
 		fout[p] = ghsFragMsg{fragID: gn.fragID}
 	}
 	in := gn.nd.Exchange(fout)
 	for p := 0; p < deg; p++ {
 		gn.nbrFrag[p] = -1
-		if raw, ok := in[p]; ok {
+		if raw := in[p]; raw != nil {
 			gn.nbrFrag[p] = raw.(ghsFragMsg).fragID
 		}
 	}
@@ -269,6 +267,7 @@ func (gn *ghsNode) waveA(wave, window int64, st *ghsPhaseState) error {
 		in := gn.step()
 		for p, raw := range in {
 			switch msg := raw.(type) {
+			case nil: // no message on port p
 			case ghsInitiate:
 				if p == gn.parent && !initiated {
 					initiated = true
@@ -332,6 +331,7 @@ func (gn *ghsNode) waveB(wave, window int64, st *ghsPhaseState) error {
 		in := gn.step()
 		for p, raw := range in {
 			switch msg := raw.(type) {
+			case nil: // no message on port p
 			case ghsRootChange:
 				if st.srcChild < 0 {
 					st.isOwner = true
@@ -384,6 +384,7 @@ func (gn *ghsNode) waveC(wave, window int64, st *ghsPhaseState) error {
 		in := gn.step()
 		for p, raw := range in {
 			switch msg := raw.(type) {
+			case nil: // no message on port p
 			case ghsNewFrag:
 				if got {
 					continue

@@ -175,23 +175,23 @@ func (c *nodeCtx) logStarColoring(bs func(int64) int64, nbrInfo nbrList,
 		// TA: hosts exchange current colors with all G' neighbors.
 		var got []cvColorMsg
 		if len(hostPorts) > 0 {
-			out := make(sim.Outbox, len(hostPorts))
+			out := c.nd.Outbox()
 			for _, p := range hostPorts {
 				out[p] = cvColorMsg{fragID: c.st.FragID, color: cvColor}
 			}
 			in := ldt.TransmitAdjacent(c.nd, bs(ib), out)
 			for _, p := range hostPorts {
-				if raw, ok := in[p]; ok {
+				if raw := in[p]; raw != nil {
 					got = append(got, raw.(cvColorMsg))
 				}
 			}
 		}
 		// Up + Broadcast: all members learn the neighbors' colors.
 		agg := ldt.Up(c.nd, c.st, bs(ib+1), cvColorList(got),
-			func(own interface{}, fromChildren map[int]interface{}) interface{} {
+			func(own interface{}, fromChildren sim.Inbox) interface{} {
 				merged := append(cvColorList(nil), own.(cvColorList)...)
-				for _, v := range fromChildren {
-					if v != nil {
+				for _, child := range c.st.Children {
+					if v := fromChildren[child]; v != nil {
 						merged = append(merged, v.(cvColorList)...)
 					}
 				}
@@ -280,7 +280,7 @@ func (c *nodeCtx) paletteStages(bs func(int64) int64, stageBase int64, nbrInfo n
 			cm := ldt.Broadcast(c.nd, c.st, sb(0), payload).(colorMsg)
 			myColor = cm.color
 			if len(hostPorts) > 0 {
-				out := make(sim.Outbox, len(hostPorts))
+				out := c.nd.Outbox()
 				for _, p := range hostPorts {
 					out[p] = colorMsg{fragID: c.st.FragID, color: myColor}
 				}
@@ -294,7 +294,7 @@ func (c *nodeCtx) paletteStages(bs func(int64) int64, stageBase int64, nbrInfo n
 			in := ldt.TransmitAdjacent(c.nd, sb(1), nil)
 			var lm []colorMsg
 			for _, p := range hostPorts {
-				if raw, ok := in[p]; ok {
+				if raw := in[p]; raw != nil {
 					lm = append(lm, raw.(colorMsg))
 				}
 			}
@@ -303,13 +303,13 @@ func (c *nodeCtx) paletteStages(bs func(int64) int64, stageBase int64, nbrInfo n
 			}
 		}
 		agg := ldt.Up(c.nd, c.st, sb(2), got,
-			func(own interface{}, fromChildren map[int]interface{}) interface{} {
+			func(own interface{}, fromChildren sim.Inbox) interface{} {
 				var merged colorMsgList
 				if own != nil {
 					merged = append(merged, own.(colorMsgList)...)
 				}
-				for _, v := range fromChildren {
-					if v != nil {
+				for _, child := range c.st.Children {
+					if v := fromChildren[child]; v != nil {
 						merged = append(merged, v.(colorMsgList)...)
 					}
 				}
@@ -351,148 +351,14 @@ func (c *nodeCtx) logStarPhase(phaseStart int64) (done bool) {
 	bs := func(b int64) int64 { return phaseStart + b*c.blk }
 
 	// --- Step (i): identical to Deterministic-MST ----------------------
-	c.taFragment(bs(dbTAFrag))
-	moe := c.upcastMOE(bs(dbUpMOE))
-	var rootMsg *bcastMOEMsg
-	if c.st.IsRoot() {
-		rootMsg = &bcastMOEMsg{}
-		if moe != nil {
-			rootMsg.exists = true
-			rootMsg.moe = *moe
-		}
-	}
-	ph := c.broadcastMOE(bs(dbBcastMOE), rootMsg)
-	c.stepDone(trace.StepFindMOE)
-	if !ph.exists {
+	sg, ok := c.supergraphStep(bs)
+	if !ok {
 		return true
 	}
-	owner := c.isMOEOwner(&ph.moe)
-
-	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
-	out := make(sim.Outbox, c.nd.Degree())
-	for p := 0; p < c.nd.Degree(); p++ {
-		out[p] = taMOEMsg{fragID: c.st.FragID, isMOE: owner && p == ph.moe.ownerPort}
-	}
-	in := ldt.TransmitAdjacent(c.nd, bs(dbTAMOE), out)
-	c.stepDone(trace.StepMarkMOE)
-	var incomingPorts []int
-	incFrag := make(map[int]int64)
-	mutualMOE := false
-	for p := 0; p < c.nd.Degree(); p++ {
-		raw, ok := in[p]
-		if !ok {
-			continue
-		}
-		msg := raw.(taMOEMsg)
-		if msg.isMOE && msg.fragID != c.st.FragID {
-			incomingPorts = append(incomingPorts, p)
-			incFrag[p] = msg.fragID
-			if owner && p == ph.moe.ownerPort {
-				mutualMOE = true
-			}
-		}
-	}
-	sort.Ints(incomingPorts)
-
-	childCount := make(map[int]int64)
-	total := ldt.Up(c.nd, c.st, bs(dbUpCount), intPayload(len(incomingPorts)),
-		func(own interface{}, fromChildren map[int]interface{}) interface{} {
-			sum := int64(own.(intPayload))
-			for port, v := range fromChildren {
-				cnt := int64(v.(intPayload))
-				childCount[port] = cnt
-				sum += cnt
-			}
-			return intPayload(sum)
-		})
-	budget := int64(total.(intPayload))
-	if budget > c.acceptBudget {
-		budget = c.acceptBudget
-	}
-	validIn := make(map[int]bool, len(incomingPorts))
-	ldt.Down(c.nd, c.st, bs(dbDownToken), intPayload(budget),
-		func(received interface{}) map[int]interface{} {
-			var b int64
-			if received != nil {
-				b = int64(received.(intPayload))
-			}
-			for _, p := range incomingPorts {
-				if b == 0 {
-					break
-				}
-				validIn[p] = true
-				b--
-			}
-			outs := make(map[int]interface{})
-			for _, child := range c.st.Children {
-				if b == 0 {
-					break
-				}
-				give := childCount[child]
-				if give > b {
-					give = b
-				}
-				if give > 0 {
-					outs[child] = intPayload(give)
-					b -= give
-				}
-			}
-			return outs
-		})
-
-	taOut := make(sim.Outbox, len(incomingPorts))
-	for _, p := range incomingPorts {
-		taOut[p] = validMsg{accepted: validIn[p]}
-	}
-	outAccepted := false
-	var myEntries []nbrEntry
-	if len(taOut) > 0 || owner {
-		vin := ldt.TransmitAdjacent(c.nd, bs(dbTAValid), taOut)
-		if owner {
-			if raw, ok := vin[ph.moe.ownerPort]; ok && raw.(validMsg).accepted {
-				outAccepted = true
-				myEntries = append(myEntries, nbrEntry{
-					fragID:   c.nbrFragID[ph.moe.ownerPort],
-					hostID:   c.nd.ID(),
-					hostPort: ph.moe.ownerPort,
-				})
-			}
-		}
-	}
-	for _, p := range incomingPorts {
-		if validIn[p] {
-			myEntries = append(myEntries, nbrEntry{fragID: incFrag[p], hostID: c.nd.ID(), hostPort: p})
-		}
-	}
-	c.stepDone(trace.StepValidate)
-	agg := ldt.Up(c.nd, c.st, bs(dbUpNbr), nbrList(myEntries),
-		func(own interface{}, fromChildren map[int]interface{}) interface{} {
-			lists := [][]nbrEntry{own.(nbrList)}
-			for _, v := range fromChildren {
-				if v != nil {
-					lists = append(lists, v.(nbrList))
-				}
-			}
-			return mergeEntries(lists...)
-		})
-	var bcastPayload interface{}
-	if c.st.IsRoot() {
-		bcastPayload = agg.(nbrList)
-	}
-	nbrInfo := ldt.Broadcast(c.nd, c.st, bs(dbBcastNbr), bcastPayload).(nbrList)
-	if c.st.IsRoot() {
-		c.nd.EmitNbrs(c.phase, len(nbrInfo))
-	}
-	c.stepDone(trace.StepNbrInfo)
+	nbrInfo := sg.nbrInfo
 
 	// --- Step (ii): log* coloring + merging -----------------------------
-	ownerPort := -1
-	inAccepted := false
-	if owner {
-		ownerPort = ph.moe.ownerPort
-		inAccepted = validIn[ownerPort]
-	}
-	myColor := c.logStarColoring(bs, nbrInfo, owner, ownerPort, outAccepted, mutualMOE, inAccepted)
+	myColor := c.logStarColoring(bs, nbrInfo, sg.owner, sg.ownerPort, sg.outAccepted, sg.mutualMOE, sg.inAccepted)
 	c.stepDone(trace.StepColoring)
 
 	mergeBase := logStarBlocks(c.nd.MaxID()) - 7
@@ -519,8 +385,8 @@ func (c *nodeCtx) logStarPhase(phaseStart int64) (done bool) {
 	dec = ldt.NoMerge
 	if myColor == Blue && len(nbrInfo) == 0 {
 		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
-		if owner {
-			dec.AttachPort = ph.moe.ownerPort
+		if sg.owner {
+			dec.AttachPort = sg.ownerPort
 		}
 	}
 	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+4), dec)

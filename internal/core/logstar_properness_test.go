@@ -53,8 +53,8 @@ func TestLogStarColoringProperness(t *testing.T) {
 		incFrag := make(map[int]int64)
 		mutualMOE := false
 		for p := 0; p < c.nd.Degree(); p++ {
-			raw, ok := in[p]
-			if !ok {
+			raw := in[p]
+			if raw == nil {
 				continue
 			}
 			msg := raw.(taMOEMsg)
@@ -69,9 +69,13 @@ func TestLogStarColoringProperness(t *testing.T) {
 		sort.Ints(incomingPorts)
 		childCount := make(map[int]int64)
 		total := ldt.Up(c.nd, c.st, bs(dbUpCount), intPayload(len(incomingPorts)),
-			func(own interface{}, fromChildren map[int]interface{}) interface{} {
+			func(own interface{}, fromChildren sim.Inbox) interface{} {
 				sum := int64(own.(intPayload))
-				for port, v := range fromChildren {
+				for _, port := range c.st.Children {
+					v := fromChildren[port]
+					if v == nil {
+						continue
+					}
 					cnt := int64(v.(intPayload))
 					childCount[port] = cnt
 					sum += cnt
@@ -84,7 +88,7 @@ func TestLogStarColoringProperness(t *testing.T) {
 		}
 		validIn := make(map[int]bool, len(incomingPorts))
 		ldt.Down(c.nd, c.st, bs(dbDownToken), intPayload(budget),
-			func(received interface{}) map[int]interface{} {
+			func(received interface{}, outs sim.Outbox) {
 				var b int64
 				if received != nil {
 					b = int64(received.(intPayload))
@@ -96,7 +100,6 @@ func TestLogStarColoringProperness(t *testing.T) {
 					validIn[p] = true
 					b--
 				}
-				outs := make(map[int]interface{})
 				for _, child := range c.st.Children {
 					if b == 0 {
 						break
@@ -110,18 +113,17 @@ func TestLogStarColoringProperness(t *testing.T) {
 						b -= give
 					}
 				}
-				return outs
 			})
-		taOut := make(sim.Outbox, len(incomingPorts))
+		taOut := make(sim.Outbox, c.nd.Degree())
 		for _, p := range incomingPorts {
 			taOut[p] = validMsg{accepted: validIn[p]}
 		}
 		outAccepted := false
 		var myEntries []nbrEntry
-		if len(taOut) > 0 || owner {
+		if len(incomingPorts) > 0 || owner {
 			vin := ldt.TransmitAdjacent(c.nd, bs(dbTAValid), taOut)
 			if owner {
-				if raw, ok := vin[ph.moe.ownerPort]; ok && raw.(validMsg).accepted {
+				if raw := vin[ph.moe.ownerPort]; raw != nil && raw.(validMsg).accepted {
 					outAccepted = true
 					myEntries = append(myEntries, nbrEntry{
 						fragID:   c.nbrFragID[ph.moe.ownerPort],
@@ -137,10 +139,10 @@ func TestLogStarColoringProperness(t *testing.T) {
 			}
 		}
 		agg := ldt.Up(c.nd, c.st, bs(dbUpNbr), nbrList(myEntries),
-			func(own interface{}, fromChildren map[int]interface{}) interface{} {
+			func(own interface{}, fromChildren sim.Inbox) interface{} {
 				lists := [][]nbrEntry{own.(nbrList)}
-				for _, v := range fromChildren {
-					if v != nil {
+				for _, child := range c.st.Children {
+					if v := fromChildren[child]; v != nil {
 						lists = append(lists, v.(nbrList))
 					}
 				}

@@ -93,13 +93,13 @@ func (taFragMsg) MsgKind() string { return "ta-frag" }
 // taFragment runs one Transmit-Adjacent block in which every node
 // refreshes its per-port neighbor knowledge.
 func (c *nodeCtx) taFragment(start int64) {
-	out := make(sim.Outbox, c.nd.Degree())
-	for p := 0; p < c.nd.Degree(); p++ {
+	out := c.nd.Outbox()
+	for p := range out {
 		out[p] = taFragMsg{id: c.nd.ID(), fragID: c.st.FragID, level: c.st.Level}
 	}
 	in := ldt.TransmitAdjacent(c.nd, start, out)
-	for p := 0; p < c.nd.Degree(); p++ {
-		if raw, ok := in[p]; ok {
+	for p, raw := range in {
+		if raw != nil {
 			msg := raw.(taFragMsg)
 			c.nbrFragID[p] = msg.fragID
 			c.nbrLevel[p] = msg.level
@@ -210,12 +210,12 @@ func (boolPayload) MsgKind() string { return "bool" }
 // upcastFirst runs an Up block that propagates the first non-nil value
 // toward the root (used for single-owner facts such as MOE validity).
 func (c *nodeCtx) upcastFirst(start int64, mine interface{}) interface{} {
-	return ldt.Up(c.nd, c.st, start, mine, func(own interface{}, fromChildren map[int]interface{}) interface{} {
+	return ldt.Up(c.nd, c.st, start, mine, func(own interface{}, fromChildren sim.Inbox) interface{} {
 		if own != nil {
 			return own
 		}
 		for _, child := range c.st.Children {
-			if v, ok := fromChildren[child]; ok && v != nil {
+			if v := fromChildren[child]; v != nil {
 				return v
 			}
 		}

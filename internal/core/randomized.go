@@ -60,8 +60,8 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 
 	// Restrict to valid MOEs: only tails -> heads edges survive.
 	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
-	out := make(sim.Outbox, c.nd.Degree())
-	for p := 0; p < c.nd.Degree(); p++ {
+	out := c.nd.Outbox()
+	for p := range out {
 		out[p] = taMOEMsg{
 			fragID: c.st.FragID,
 			coin:   ph.coin,
@@ -74,7 +74,7 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 	var validUp interface{}
 	if owner {
 		valid := false
-		if raw, ok := in[ph.moe.ownerPort]; ok {
+		if raw := in[ph.moe.ownerPort]; raw != nil {
 			target := raw.(taMOEMsg)
 			valid = !ph.coin && target.coin // we are tails, target heads
 		}

@@ -144,13 +144,14 @@ func (m wireMsg) MsgKind() string {
 // starting at round start. The root's incoming value is rootVal; every
 // other node receives the value forwarded by its parent (nil if the
 // parent forwarded nothing to it). split maps the received value to
-// per-child-port messages; a nil return forwards nothing. Down returns
-// the node's received value.
+// per-child-port messages by filling the given cleared outbox slots; a
+// node whose split fills no slot forwards nothing. Down returns the
+// node's received value.
 //
 // Cost: at most 2 awake rounds (Down-Receive and Down-Send); leaves and
 // nodes that forward nothing skip the Down-Send round.
 func Down(nd *sim.Node, st *State, start int64, rootVal interface{},
-	split func(received interface{}) map[int]interface{}) interface{} {
+	split func(received interface{}, out sim.Outbox)) interface{} {
 	sched := ScheduleFor(start, st.Level, nd.N())
 	var received interface{}
 	if st.IsRoot() {
@@ -158,16 +159,20 @@ func Down(nd *sim.Node, st *State, start int64, rootVal interface{},
 	} else {
 		nd.SleepUntil(sched.DownReceive)
 		in := nd.Exchange(nil)
-		if raw, ok := in[st.ParentPort]; ok {
+		if raw := in[st.ParentPort]; raw != nil {
 			received = raw.(wireMsg).payload
 		}
 	}
-	outs := split(received)
-	if len(outs) > 0 {
-		out := make(sim.Outbox, len(outs))
-		for port, msg := range outs {
+	out := nd.Outbox()
+	split(received, out)
+	forward := false
+	for port, msg := range out {
+		if msg != nil {
 			out[port] = wireMsg{payload: msg}
+			forward = true
 		}
+	}
+	if forward {
 		nd.SleepUntil(sched.DownSend)
 		nd.Exchange(out)
 	}
@@ -178,43 +183,47 @@ func Down(nd *sim.Node, st *State, start int64, rootVal interface{},
 // reaches every node of the fragment; every node returns the message
 // (the root returns its own). Cost: one block, <= 2 awake rounds.
 func Broadcast(nd *sim.Node, st *State, start int64, msg interface{}) interface{} {
-	return Down(nd, st, start, msg, func(received interface{}) map[int]interface{} {
-		if received == nil || len(st.Children) == 0 {
-			return nil
+	return Down(nd, st, start, msg, func(received interface{}, out sim.Outbox) {
+		if received == nil {
+			return
 		}
-		out := make(map[int]interface{}, len(st.Children))
 		for _, c := range st.Children {
 			out[c] = received
 		}
-		return out
 	})
 }
 
 // Up runs one bottom-up wave (convergecast) within the block starting
 // at round start. Each node combines its own value with the values
 // received from its children and forwards the result to its parent;
-// the root's combined value is the fragment-wide result. Up returns
-// the node's combined value.
+// the root's combined value is the fragment-wide result. combine reads
+// fromChildren[c] for each child port c in st.Children: the value that
+// child forwarded, nil if none (other ports are meaningless). Up
+// returns the node's combined value.
 //
 // Cost: at most 2 awake rounds (Up-Receive for non-leaves, Up-Send for
 // non-roots).
 func Up(nd *sim.Node, st *State, start int64, own interface{},
-	combine func(own interface{}, fromChildren map[int]interface{}) interface{}) interface{} {
+	combine func(own interface{}, fromChildren sim.Inbox) interface{}) interface{} {
 	sched := ScheduleFor(start, st.Level, nd.N())
-	fromChildren := make(map[int]interface{})
+	var fromChildren sim.Inbox
 	if len(st.Children) > 0 {
 		nd.SleepUntil(sched.UpReceive)
-		in := nd.Exchange(nil)
+		// Unwrap the children's slots in place: the inbox is this
+		// node's until its next Exchange.
+		fromChildren = nd.Exchange(nil)
 		for _, c := range st.Children {
-			if raw, ok := in[c]; ok {
+			if raw := fromChildren[c]; raw != nil {
 				fromChildren[c] = raw.(wireMsg).payload
 			}
 		}
 	}
 	combined := combine(own, fromChildren)
 	if !st.IsRoot() {
+		out := nd.Outbox()
+		out[st.ParentPort] = wireMsg{payload: combined}
 		nd.SleepUntil(sched.UpSend)
-		nd.Exchange(sim.Outbox{st.ParentPort: wireMsg{payload: combined}})
+		nd.Exchange(out)
 	}
 	return combined
 }
@@ -253,13 +262,10 @@ func (MinItem) MsgKind() string { return "upcast-min" }
 // root's return value is the fragment-wide minimum (nil if no node
 // held an item).
 func UpcastMin(nd *sim.Node, st *State, start int64, mine *MinItem) *MinItem {
-	res := Up(nd, st, start, mine, func(own interface{}, fromChildren map[int]interface{}) interface{} {
+	res := Up(nd, st, start, mine, func(own interface{}, fromChildren sim.Inbox) interface{} {
 		best := own.(*MinItem)
-		for _, v := range fromChildren {
-			if v == nil {
-				continue
-			}
-			it, ok := v.(MinItem)
+		for _, c := range st.Children {
+			it, ok := fromChildren[c].(MinItem)
 			if !ok {
 				continue
 			}

@@ -195,7 +195,9 @@ func TestTransmitAdjacentCrossesFragments(t *testing.T) {
 		in := TransmitAdjacent(nd, 1, out)
 		m := make(map[int]int64)
 		for p, raw := range in {
-			m[p] = raw.(adjMsg).frag
+			if raw != nil {
+				m[p] = raw.(adjMsg).frag
+			}
 		}
 		heard[nd.Index()] = m
 		return nil
@@ -231,17 +233,15 @@ func TestDownDistributesDistinctValues(t *testing.T) {
 	parents := []int{-1, 0, 0, 0}
 	got := make([]interface{}, g.N())
 	runForest(t, g, parents, func(nd *sim.Node, st *State) error {
-		rcv := Down(nd, st, 1, testPayload{v: 6}, func(received interface{}) map[int]interface{} {
+		rcv := Down(nd, st, 1, testPayload{v: 6}, func(received interface{}, out sim.Outbox) {
 			if received == nil || len(st.Children) == 0 {
-				return nil
+				return
 			}
 			total := received.(testPayload).v
-			out := make(map[int]interface{}, len(st.Children))
 			share := total / int64(len(st.Children))
 			for _, c := range st.Children {
 				out[c] = testPayload{v: share}
 			}
-			return out
 		})
 		got[nd.Index()] = rcv
 		return nil

@@ -66,8 +66,8 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 
 	// Block A: Transmit-Adjacent. Everyone advertises (fragID, level);
 	// the attachment node u_T raises the attach flag on its merge edge.
-	out := make(sim.Outbox, nd.Degree())
-	for p := 0; p < nd.Degree(); p++ {
+	out := nd.Outbox()
+	for p := range out {
 		out[p] = taMergeMsg{
 			fragID: st.FragID,
 			level:  st.Level,
@@ -77,12 +77,8 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 	in := TransmitAdjacent(nd, start, out)
 
 	// Heads-side bookkeeping: adopt attaching neighbors as children.
-	for p := 0; p < nd.Degree(); p++ {
-		raw, ok := in[p]
-		if !ok {
-			continue
-		}
-		if msg := raw.(taMergeMsg); msg.attach {
+	for p, raw := range in {
+		if raw != nil && raw.(taMergeMsg).attach {
 			st.AddChild(p)
 		}
 	}
@@ -95,8 +91,8 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 	var newChildren []int
 
 	if dec.Merging && dec.AttachPort >= 0 {
-		raw, ok := in[dec.AttachPort]
-		if !ok {
+		raw := in[dec.AttachPort]
+		if raw == nil {
 			panic(fmt.Sprintf("ldt: node %d: no merge-partner info on port %d", nd.Index(), dec.AttachPort))
 		}
 		uh := raw.(taMergeMsg)
@@ -123,8 +119,8 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 		nd.SleepUntil(sched.UpReceive)
 		rcv := nd.Exchange(nil)
 		for _, c := range st.Children {
-			raw, ok := rcv[c]
-			if !ok {
+			raw := rcv[c]
+			if raw == nil {
 				continue
 			}
 			msg := raw.(waveMsg)
@@ -148,8 +144,10 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 		}
 	}
 	if !st.IsRoot() {
+		out = nd.Outbox()
+		out[st.ParentPort] = waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0}
 		nd.SleepUntil(sched.UpSend)
-		nd.Exchange(sim.Outbox{st.ParentPort: waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0}})
+		nd.Exchange(out)
 	}
 
 	// Block C (second instance): the values flow down the old tree to
@@ -158,7 +156,7 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 	if !st.IsRoot() {
 		nd.SleepUntil(sched.DownReceive)
 		rcv := nd.Exchange(nil)
-		if raw, ok := rcv[st.ParentPort]; ok {
+		if raw := rcv[st.ParentPort]; raw != nil {
 			msg := raw.(waveMsg)
 			if !msg.empty && newLevel < 0 {
 				newLevel, newFrag = msg.level+1, msg.fragID
@@ -166,12 +164,12 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 		}
 	}
 	if len(st.Children) > 0 {
-		downOut := make(sim.Outbox, len(st.Children))
+		out = nd.Outbox()
 		for _, c := range st.Children {
-			downOut[c] = waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0}
+			out[c] = waveMsg{fragID: newFrag, level: newLevel, empty: newLevel < 0}
 		}
 		nd.SleepUntil(sched.DownSend)
-		nd.Exchange(downOut)
+		nd.Exchange(out)
 	}
 
 	// Commit the temporary variables (the paper's end-of-step update).

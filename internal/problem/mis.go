@@ -177,7 +177,6 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 		Cancel:            opts.Cancel,
 	}
 	res, err := sim.Run(cfg, func(nd *sim.Node) error {
-		deg := nd.Degree()
 		id := nd.ID()
 		state := misUndecided
 
@@ -205,8 +204,8 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 			prob := math.Exp2(-float64(L) / float64(int64(1)<<uint(i)))
 			candidate := nd.Rand().Float64() < prob
 			rank := nd.Rand().Uint32()
-			out := make(sim.Outbox, deg)
-			for pt := 0; pt < deg; pt++ {
+			out := nd.Outbox()
+			for pt := range out {
 				out[pt] = misSampleMsg{id: id, rank: rank, candidate: candidate}
 			}
 			in := nd.Exchange(out)
@@ -225,8 +224,8 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 			}
 			var announce sim.Outbox
 			if join {
-				announce = make(sim.Outbox, deg)
-				for pt := 0; pt < deg; pt++ {
+				announce = nd.Outbox()
+				for pt := range announce {
 					announce[pt] = misJoinMsg{}
 				}
 			}
@@ -250,8 +249,8 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 			nd.EmitPhase(P+1, 0)
 			sync := int64(2*P + 1)
 			nd.SleepUntil(sync)
-			out := make(sim.Outbox, deg)
-			for pt := 0; pt < deg; pt++ {
+			out := nd.Outbox()
+			for pt := range out {
 				out[pt] = misSyncMsg{id: id}
 			}
 			in := nd.Exchange(out)
@@ -277,8 +276,8 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 			}
 			if state == misUndecided {
 				nd.SleepUntil(sync + id)
-				announce := make(sim.Outbox, deg)
-				for pt := 0; pt < deg; pt++ {
+				announce := nd.Outbox()
+				for pt := range announce {
 					announce[pt] = misDecideMsg{join: true}
 				}
 				nd.Exchange(announce)

@@ -3,13 +3,18 @@ package service
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"sleepmst/internal/metrics"
 )
 
 // The fault-path battery: every documented failure mode — deadline
@@ -208,6 +213,63 @@ func TestFaultMalformedFrame(t *testing.T) {
 			assertNoLeaks(t, before)
 		})
 	}
+}
+
+// TestFaultOversizedResponse: a WantTrace request whose response frame
+// would exceed MaxFrameBytes (mst/randomized on a random graph with
+// n=256, seed 1, renders a ~9.9 MB frame) still gets exactly one
+// response — StatusInternal, naming the frame size and the cap — and
+// the status counters record the status that was sent.
+func TestFaultOversizedResponse(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc := New(Config{Workers: 1})
+	srv := NewServer(svc)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := Request{ID: 7, Problem: "mst/randomized", Graph: "random", N: 256, Seed: 1, WantTrace: true}
+	if err := WriteRequest(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Minute))
+	br := bufio.NewReader(conn)
+	resp, err := ReadResponse(br)
+	if err != nil {
+		t.Fatalf("oversized response never answered: %v", err)
+	}
+	if resp.ID != req.ID || resp.Status != StatusInternal {
+		t.Fatalf("answered id=%d status=%v (%s), want %d/internal", resp.ID, resp.Status, resp.Detail, req.ID)
+	}
+	var size int
+	if _, err := fmt.Sscanf(resp.Detail, "response frame is %d bytes", &size); err != nil || size <= MaxFrameBytes {
+		t.Errorf("detail %q does not name a frame size over the cap (%v)", resp.Detail, err)
+	}
+	if !strings.Contains(resp.Detail, strconv.Itoa(MaxFrameBytes)) {
+		t.Errorf("detail %q does not name the %d-byte cap", resp.Detail, MaxFrameBytes)
+	}
+	// Exactly one response: nothing else arrives before the deadline.
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if _, err := br.ReadByte(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("read after the only response returned %v, want the deadline", err)
+	}
+	for status, want := range map[Status]int64{StatusInternal: 1, StatusOK: 0} {
+		if got := svc.Metrics().Get(metrics.ServiceStatusName(status.String())); got != want {
+			t.Errorf("service/status/%v = %d, want %d", status, got, want)
+		}
+	}
+	srv.Shutdown()
+	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
+		t.Errorf("Serve returned %v", err)
+	}
+	assertNoLeaks(t, before)
 }
 
 // mustFrame encodes a protocol message frame for test input.

@@ -345,6 +345,13 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		}
 		resp.Trace = b.Bytes()
 	}
+	// A response the wire cannot frame would never reach a Server
+	// client, so every caller gets the internal status instead; the
+	// run itself completed, so its counters still fold in below.
+	if size := responseBodyBytes(resp); size > MaxFrameBytes {
+		resp = Response{ID: req.ID, Status: StatusInternal,
+			Detail: fmt.Sprintf("response frame is %d bytes, over the %d-byte MaxFrameBytes cap", size, MaxFrameBytes)}
+	}
 	// Fold the completed run's counters into the service registry —
 	// only completed runs: a canceled cell's partial counters would
 	// depend on where the deadline happened to land.

@@ -17,6 +17,7 @@ import (
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
 	"sleepmst/internal/problem"
+	"sleepmst/internal/transport"
 )
 
 // testMix is a fixed request mix spanning problems, topologies,
@@ -317,5 +318,25 @@ func TestServerEndToEnd(t *testing.T) {
 	srv.Shutdown()
 	if err := <-serveErr; !errors.Is(err, ErrServerClosed) {
 		t.Errorf("Serve returned %v, want ErrServerClosed", err)
+	}
+}
+
+// TestResponseBodyBytes pins responseBodyBytes to the encoder it
+// predicts, across varint-width boundaries of every field.
+func TestResponseBodyBytes(t *testing.T) {
+	for _, resp := range []Response{
+		{},
+		{ID: BadFrameID, Status: StatusInvalid, Detail: "malformed request frame"},
+		{ID: 1 << 40, Status: StatusOK, Artifact: make([]byte, 127), Trace: make([]byte, 128)},
+		{ID: 300, Status: StatusViolation, Detail: "failed", Artifact: make([]byte, 1<<14), Trace: make([]byte, 1<<21)},
+	} {
+		body, err := transport.EncodeMessage(nil, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := responseBodyBytes(resp); got != len(body) {
+			t.Errorf("responseBodyBytes = %d, encoder wrote %d (id=%d detail=%d artifact=%d trace=%d)",
+				got, len(body), resp.ID, len(resp.Detail), len(resp.Artifact), len(resp.Trace))
+		}
 	}
 }

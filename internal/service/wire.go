@@ -69,7 +69,8 @@ const (
 	// request was rejected without running.
 	StatusShuttingDown
 	// StatusInternal: an infrastructure failure (graph construction,
-	// transport bring-up, simulator abort other than cancellation).
+	// transport bring-up, simulator abort other than cancellation), or
+	// a completed run whose response frame would exceed MaxFrameBytes.
 	StatusInternal
 
 	statusCount // sentinel for decode validation
@@ -233,6 +234,19 @@ func appendFrame(buf []byte, msg interface{}) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	return append(buf, body...), nil
+}
+
+// responseBodyBytes returns the size of resp's encoded frame body —
+// the length appendFrame checks against MaxFrameBytes — without
+// encoding the artifact and trace, which can run to megabytes.
+func responseBodyBytes(resp Response) int {
+	var b [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(b[:], KindResponse) + binary.PutVarint(b[:], resp.ID) +
+		binary.PutUvarint(b[:], uint64(resp.Status))
+	for _, l := range [...]int{len(resp.Detail), len(resp.Artifact), len(resp.Trace)} {
+		n += binary.PutUvarint(b[:], uint64(l)) + l
+	}
+	return n
 }
 
 // readFrameBody reads one length-prefixed frame body off br, capping

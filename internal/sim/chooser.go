@@ -69,7 +69,7 @@ func (rt *runtime) chooseSendOrder(round int64, participants []int) []int {
 	rt.sendOrder = rt.sendOrder[:0]
 	rt.sendPool = rt.sendPool[:0]
 	for _, idx := range participants {
-		if len(rt.nodes[idx].out) > 0 {
+		if staged(rt.nodes[idx].out) {
 			rt.sendPool = append(rt.sendPool, idx)
 		}
 	}
@@ -88,4 +88,14 @@ func (rt *runtime) chooseSendOrder(round int64, participants []int) []int {
 		rt.sendPool = append(rt.sendPool[:j], rt.sendPool[j+1:]...)
 	}
 	return rt.sendOrder
+}
+
+// staged reports whether out holds at least one message.
+func staged(out Outbox) bool {
+	for _, msg := range out {
+		if msg != nil {
+			return true
+		}
+	}
+	return false
 }

@@ -159,7 +159,7 @@ func TestChooseSenderSkipsSilentNodes(t *testing.T) {
 	}}
 	// Only the endpoints (0 and 2) send; node 1 exchanges silently.
 	prog := func(nd *Node) error {
-		out := Outbox{}
+		out := nd.Outbox()
 		if nd.Degree() == 1 {
 			out[0] = nd.Index()
 		}

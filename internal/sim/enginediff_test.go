@@ -83,7 +83,7 @@ func gossip(rounds int) Program {
 			}
 			in := nd.Exchange(out)
 			for _, v := range in {
-				if got := v.(int); got > best {
+				if got, ok := v.(int); ok && got > best {
 					best = got
 				}
 			}
@@ -202,7 +202,7 @@ func TestEngineDiffFailurePaths(t *testing.T) {
 			name: "bit-cap",
 			mk:   func() Config { return Config{Graph: g, Seed: 1, BitCap: 8} },
 			prog: func(nd *Node) error {
-				out := Outbox{}
+				out := nd.Outbox()
 				if nd.Index() == 3 && nd.Degree() > 0 {
 					out[0] = "oversized payload"
 				}

@@ -38,7 +38,7 @@ func (h *hookInterceptor) CrashRound(node int) int64 {
 func chatter(rounds int64) Program {
 	return func(nd *Node) error {
 		for r := int64(0); r < rounds; r++ {
-			out := Outbox{}
+			out := nd.Outbox()
 			for p := 0; p < nd.Degree(); p++ {
 				out[p] = nd.Index()
 			}

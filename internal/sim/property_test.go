@@ -60,6 +60,9 @@ func randomProgram(logs []*nodeLog, steps int) Program {
 			in := nd.Exchange(out)
 			log.exchanges++
 			for p, raw := range in {
+				if raw == nil {
+					continue
+				}
 				log.recvs = append(log.recvs, recvRec{round: round, port: p, val: raw.(int)})
 			}
 		}

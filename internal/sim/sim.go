@@ -14,8 +14,8 @@
 // engine is a goroutine-free scheduler core: node programs run as
 // coroutine continuations on the scheduler's own thread, resumed and
 // parked without channel handshakes, with per-round work queues that
-// visit only awake nodes and pooled message buffers — the engine that
-// reaches n = 10^5–10^6 on one machine. The legacy goroutine engine
+// visit only awake nodes and per-port message slots reused every round
+// — the engine that reaches n = 10^5–10^6 on one machine. The legacy goroutine engine
 // (one goroutine per node, channel handshakes per awake round) stays
 // compiled behind Config.Engine as the differential-testing reference;
 // both engines are bit-for-bit equivalent on fixed seeds.
@@ -126,11 +126,14 @@ type MessageEvent struct {
 	Mutated bool
 }
 
-// Outbox maps port number -> message to send on that port.
-type Outbox map[int]interface{}
+// Outbox holds one message slot per port: out[p] is sent on port p,
+// and a nil slot sends nothing. It may be shorter than the node's
+// degree; slots past its end send nothing.
+type Outbox []interface{}
 
-// Inbox maps port number -> message received on that port.
-type Inbox map[int]interface{}
+// Inbox holds one message slot per port: in[p] is the message received
+// on port p this round, nil if none arrived.
+type Inbox []interface{}
 
 // Program is the code run by every node.
 type Program func(nd *Node) error
@@ -363,17 +366,12 @@ type Node struct {
 	perturbed bool // wake was delayed by the interceptor
 
 	out Outbox // staged by Exchange, consumed by the scheduler
-	in  Inbox  // set by the scheduler before resuming
 
-	// Inbox recycling: recycle is the map returned by the previous
-	// Exchange (still owned by the program until the next call); spare
-	// is a cleared map the scheduler may refill via deposit.
-	recycle Inbox
-	spare   Inbox
-
-	// Outbox recycling: outSpare is the map handed out by the previous
-	// Outbox call, recycled on the next one (see Outbox).
-	outSpare Outbox
+	// in and outSlots are the node's runtime-owned port slots, carved
+	// from the run's slot arena (see Run) and reused every round: the
+	// scheduler clears and fills in, and Outbox hands out outSlots.
+	in       Inbox
+	outSlots Outbox
 
 	// Event engine: yield parks the node's coroutine inside Exchange;
 	// exitErr is the program's return value, read by the scheduler
@@ -429,19 +427,15 @@ func (nd *Node) Rand() *rand.Rand {
 	return nd.rng
 }
 
-// Outbox returns a cleared message-staging map owned by the runtime,
-// recycling the map handed out by the node's previous Outbox call. The
-// returned map is valid until that next call — the usual pattern
-// (fill, Exchange, repeat) never allocates after the first round. A
-// program that needs to retain a staged outbox must build its own map
-// with make instead.
+// Outbox returns the node's runtime-owned outbox slots, one per port,
+// all cleared. Every call hands out the same slots, so the returned
+// Outbox is valid until the node's next Outbox call — the usual pattern
+// (fill, Exchange, repeat) never allocates. A program that needs to
+// retain a staged outbox across calls allocates its own with
+// make(Outbox, nd.Degree()) instead.
 func (nd *Node) Outbox() Outbox {
-	if nd.outSpare == nil {
-		nd.outSpare = make(Outbox, nd.Degree())
-		return nd.outSpare
-	}
-	clear(nd.outSpare)
-	return nd.outSpare
+	clear(nd.outSlots)
+	return nd.outSlots
 }
 
 // Metrics returns the run's metrics registry. It is nil when the run
@@ -507,25 +501,18 @@ func (nd *Node) SleepUntil(r int64) {
 // to it this round by awake neighbors. After Exchange returns the node
 // is positioned before round Round()+1. A nil out sends nothing.
 //
-// The returned Inbox is owned by the runtime and valid only until the
-// node's next Exchange call, which recycles it; programs that need a
-// message beyond that must copy it out first.
+// The returned Inbox holds one slot per port. It is owned by the
+// runtime and valid only until the node's next Exchange call, which
+// reuses it; programs that need a message beyond that must copy it out
+// first.
 func (nd *Node) Exchange(out Outbox) Inbox {
 	if nd.aborted {
 		panic(abortPanic{})
 	}
-	for p := range out {
-		if p < 0 || p >= nd.Degree() {
+	for p := nd.Degree(); p < len(out); p++ {
+		if out[p] != nil {
 			panic(fmt.Sprintf("sim: node %d sends on invalid port %d (degree %d)", nd.idx, p, nd.Degree()))
 		}
-	}
-	// Reclaim the inbox handed out by the previous Exchange: the
-	// program's lease on it ends here, before the node parks, so the
-	// scheduler can refill it without racing the node goroutine.
-	if nd.recycle != nil {
-		clear(nd.recycle)
-		nd.spare = nd.recycle
-		nd.recycle = nil
 	}
 	nd.out = out
 	if nd.yield != nil {
@@ -542,11 +529,8 @@ func (nd *Node) Exchange(out Outbox) Inbox {
 	if nd.aborted {
 		panic(abortPanic{})
 	}
-	in := nd.in
-	nd.in = nil
 	nd.out = nil
-	nd.recycle = in
-	return in
+	return nd.in
 }
 
 // runtime is the scheduler state.
@@ -695,10 +679,18 @@ func Run(cfg Config, prog Program) (*Result, error) {
 	}
 	// One contiguous node arena (struct-of-arrays style bookkeeping
 	// lives in rt.res and the engines; the program-facing handles sit
-	// cache-adjacent here instead of n separate heap objects).
+	// cache-adjacent here instead of n separate heap objects), and one
+	// slot arena holding every node's inbox and outbox slots: two per
+	// port, and the ports number 2M.
 	arena := make([]Node, n)
+	slots := make([]interface{}, 4*cfg.Graph.M())
 	for i := 0; i < n; i++ {
-		arena[i] = Node{rt: rt, idx: i, wake: 1}
+		deg := cfg.Graph.Degree(i)
+		arena[i] = Node{rt: rt, idx: i, wake: 1,
+			in:       Inbox(slots[:deg:deg]),
+			outSlots: Outbox(slots[deg : 2*deg : 2*deg]),
+		}
+		slots = slots[2*deg:]
 		rt.nodes[i] = &arena[i]
 	}
 	switch cfg.Engine {
@@ -795,15 +787,18 @@ func (h *wakeHeap) pop() wakeEntry {
 }
 
 // deliver routes the staged outboxes of the round's participants to
-// participants that are awake, metering messages and bits. With an
-// interceptor configured it also applies message verdicts and flushes
-// previously delayed copies; delayed copies land before fresh sends,
-// so a fresh message overwrites a stale replay arriving on the same
-// port in the same round.
+// participants that are awake, metering messages and bits. Each outbox
+// is visited in port order, so a stateful interceptor, the trace
+// recorder's event stream, and the chooser's fault choice points all
+// see a deterministic event sequence. With an interceptor configured
+// it also applies message verdicts and flushes previously delayed
+// copies; delayed copies land before fresh sends, so a fresh message
+// overwrites a stale replay arriving on the same port in the same
+// round.
 func (rt *runtime) deliver(round int64, participants []int) error {
 	for _, idx := range participants {
 		rt.awakeStamp[idx] = round
-		rt.nodes[idx].in = nil
+		clear(rt.nodes[idx].in)
 	}
 	itc := rt.cfg.Interceptor
 	ch := rt.cfg.Chooser
@@ -820,37 +815,9 @@ func (rt *runtime) deliver(round int64, participants []int) error {
 		senders = rt.chooseSendOrder(round, participants)
 	}
 	for _, idx := range senders {
-		nd := rt.nodes[idx]
 		ports := rt.cfg.Graph.Ports(idx)
-		if itc == nil && rt.rec == nil && ch == nil && rt.tx == nil {
-			for p, msg := range nd.out {
-				bits := MessageBits(msg)
-				if rt.cfg.BitCap > 0 && bits > rt.cfg.BitCap {
-					return fmt.Errorf("sim: node %d sent %d-bit message on port %d in round %d, cap %d: %w (%w)",
-						idx, bits, p, round, rt.cfg.BitCap, ErrBitCap, ErrAborted)
-				}
-				rt.res.MessagesSent++
-				rt.res.MessagesSentPerNode[idx]++
-				rt.res.BitsSent += int64(bits)
-				if rt.awakeStamp[ports[p].To] != round {
-					rt.res.MessagesLost++
-					continue
-				}
-				if err := rt.deposit(round, idx, p, ports[p].To, ports[p].RevPort, msg); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		// Ordered path, taken with an interceptor, trace recorder, or
-		// chooser: iterate ports in index order so a stateful
-		// interceptor — and the recorder's event stream, and the
-		// chooser's fault choice points — sees a deterministic event
-		// sequence (the clean path above may range over the outbox map
-		// in any order — harmless there because metering is additive).
-		for p := range ports {
-			msg, staged := nd.out[p]
-			if !staged {
+		for p, msg := range rt.nodes[idx].out {
+			if msg == nil {
 				continue
 			}
 			bits := MessageBits(msg)
@@ -980,16 +947,7 @@ func (rt *runtime) deposit(round int64, from, fromPort, to, rev int, msg interfa
 	if rt.kindTally != nil {
 		rt.kindTally[kindOf(msg)]++
 	}
-	rcv := rt.nodes[to]
-	if rcv.in == nil {
-		if rcv.spare != nil {
-			rcv.in = rcv.spare
-			rcv.spare = nil
-		} else {
-			rcv.in = make(Inbox, 2)
-		}
-	}
-	rcv.in[rev] = msg
+	rt.nodes[to].in[rev] = msg
 	return nil
 }
 

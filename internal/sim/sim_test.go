@@ -17,8 +17,8 @@ func TestExchangeDeliversBetweenAwakeNeighbors(t *testing.T) {
 	g := pathGraph(t, 2)
 	res, err := Run(Config{Graph: g, Seed: 1}, func(nd *Node) error {
 		in := nd.Exchange(Outbox{0: nd.Index()})
-		got, ok := in[0]
-		if !ok {
+		got := in[0]
+		if got == nil {
 			t.Errorf("node %d: no message received", nd.Index())
 			return nil
 		}
@@ -48,7 +48,7 @@ func TestSleepingNodeLosesMessages(t *testing.T) {
 		}
 		nd.SleepUntil(2)
 		in := nd.Exchange(nil)
-		if len(in) != 0 {
+		if in[0] != nil {
 			t.Errorf("sleeping node received %v, want nothing", in)
 		}
 		return nil

@@ -217,9 +217,11 @@ func TestFaultMalformedFrame(t *testing.T) {
 
 // TestFaultOversizedResponse: a WantTrace request whose response frame
 // would exceed MaxFrameBytes (mst/randomized on a random graph with
-// n=256, seed 1, renders a ~9.9 MB frame) still gets exactly one
+// n=256, seed 1, a 9,924,655-byte frame) still gets exactly one
 // response — StatusInternal, naming the frame size and the cap — and
-// the status counters record the status that was sent.
+// the status counters record the status that was sent. The frame size
+// is computed before the trace is rendered, so the detail pins it to
+// the byte.
 func TestFaultOversizedResponse(t *testing.T) {
 	before := runtime.NumGoroutine()
 	svc := New(Config{Workers: 1})
@@ -254,6 +256,10 @@ func TestFaultOversizedResponse(t *testing.T) {
 	}
 	if !strings.Contains(resp.Detail, strconv.Itoa(MaxFrameBytes)) {
 		t.Errorf("detail %q does not name the %d-byte cap", resp.Detail, MaxFrameBytes)
+	}
+	const wantDetail = "response frame is 9924655 bytes, over the 8388608-byte MaxFrameBytes cap"
+	if resp.Detail != wantDetail {
+		t.Errorf("detail = %q, want %q", resp.Detail, wantDetail)
 	}
 	// Exactly one response: nothing else arrives before the deadline.
 	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))

@@ -278,10 +278,13 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, "")
 	}
 
+	// The one canonical event slice of this request: the certificate
+	// replays it, and a WantTrace response renders it.
+	meta, events := rec.Meta(), rec.Events()
 	verdict := conform.Suite{
 		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: req.Seed, Budget: p.Budget},
-		Meta:   rec.Meta(),
-		Events: rec.Events(),
+		Meta:   meta,
+		Events: events,
 		Extra:  []conform.Check{p.ConformCheck(g, r)},
 	}.Verdict()
 	verify := p.Verify(g, r)
@@ -337,20 +340,24 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 			Detail: fmt.Sprintf("artifact marshal: %v", err)}, "")
 	}
 	resp.Artifact = data
+	traceLen := 0
 	if req.WantTrace {
-		var b bytes.Buffer
-		if err := rec.WriteJSONL(&b); err != nil {
+		traceLen = trace.JSONLSize(meta, events)
+	}
+	// A response the wire cannot frame would never reach a Server
+	// client, so every caller gets the internal status instead, and
+	// its trace is never rendered; the run itself completed, so its
+	// counters still fold in below.
+	if size := responseBodyBytes(resp, traceLen); size > MaxFrameBytes {
+		resp = Response{ID: req.ID, Status: StatusInternal,
+			Detail: fmt.Sprintf("response frame is %d bytes, over the %d-byte MaxFrameBytes cap", size, MaxFrameBytes)}
+	} else if req.WantTrace {
+		b := bytes.NewBuffer(make([]byte, 0, traceLen))
+		if err := trace.WriteEventsJSONL(b, meta, events); err != nil {
 			return s.finish(req, Response{ID: req.ID, Status: StatusInternal,
 				Detail: fmt.Sprintf("trace render: %v", err)}, "")
 		}
 		resp.Trace = b.Bytes()
-	}
-	// A response the wire cannot frame would never reach a Server
-	// client, so every caller gets the internal status instead; the
-	// run itself completed, so its counters still fold in below.
-	if size := responseBodyBytes(resp); size > MaxFrameBytes {
-		resp = Response{ID: req.ID, Status: StatusInternal,
-			Detail: fmt.Sprintf("response frame is %d bytes, over the %d-byte MaxFrameBytes cap", size, MaxFrameBytes)}
 	}
 	// Fold the completed run's counters into the service registry —
 	// only completed runs: a canceled cell's partial counters would

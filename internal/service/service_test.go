@@ -334,7 +334,7 @@ func TestResponseBodyBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := responseBodyBytes(resp); got != len(body) {
+		if got := responseBodyBytes(resp, len(resp.Trace)); got != len(body) {
 			t.Errorf("responseBodyBytes = %d, encoder wrote %d (id=%d detail=%d artifact=%d trace=%d)",
 				got, len(body), resp.ID, len(resp.Detail), len(resp.Artifact), len(resp.Trace))
 		}

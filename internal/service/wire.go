@@ -237,13 +237,16 @@ func appendFrame(buf []byte, msg interface{}) ([]byte, error) {
 }
 
 // responseBodyBytes returns the size of resp's encoded frame body —
-// the length appendFrame checks against MaxFrameBytes — without
-// encoding the artifact and trace, which can run to megabytes.
-func responseBodyBytes(resp Response) int {
+// the length appendFrame checks against MaxFrameBytes — when it
+// carries a trace of traceLen bytes in place of resp.Trace, without
+// encoding the artifact and trace, which can run to megabytes. The
+// trace length is a parameter so a caller can decide before rendering
+// a trace whether the frame will fit.
+func responseBodyBytes(resp Response, traceLen int) int {
 	var b [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(b[:], KindResponse) + binary.PutVarint(b[:], resp.ID) +
 		binary.PutUvarint(b[:], uint64(resp.Status))
-	for _, l := range [...]int{len(resp.Detail), len(resp.Artifact), len(resp.Trace)} {
+	for _, l := range [...]int{len(resp.Detail), len(resp.Artifact), traceLen} {
 		n += binary.PutUvarint(b[:], uint64(l)) + l
 	}
 	return n

@@ -1,11 +1,12 @@
 package trace
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"math/bits"
+	"slices"
+	"strconv"
 )
 
 // Kind enumerates the structured trace event types. The numeric order
@@ -240,9 +241,8 @@ func (s *stream) push(cap int, ev Event) {
 // for one simulation run. It keeps one ring buffer per writer — the
 // scheduler goroutine plus each node goroutine — so recording never
 // takes a lock; the canonical event order is reconstructed at read
-// time by sorting on (Round, Node, Kind, stream sequence), which is
-// deterministic because every stream's content is deterministic for a
-// fixed seed.
+// time (see Events), which is deterministic because every stream's
+// content is deterministic for a fixed seed.
 //
 // A Recorder serves one run at a time: sim.Run calls Begin, which
 // resets all streams. It must not be shared by concurrent runs (give
@@ -257,12 +257,14 @@ type Recorder struct {
 	nodeCap  int
 }
 
-// NewRecorder returns a Recorder bounding its memory to capacity
-// events in total (0 means DefaultCapacity). Half the budget goes to
-// the scheduler stream (awake/send/deliver/lost events dominate), the
-// other half is split evenly across node streams; when a stream
-// overflows its share, its oldest events are discarded and counted in
-// Dropped.
+// NewRecorder returns a Recorder whose event budget is capacity (0
+// means DefaultCapacity). Half the budget goes to the scheduler stream
+// (awake/send/deliver/lost events dominate), the other half is split
+// evenly across node streams; when a stream overflows its share, its
+// oldest events are discarded and counted in Dropped. Every stream
+// keeps at least 64 events, so with many nodes the recorder holds more
+// than capacity: up to max(capacity/2, 64) + n·max(capacity/2/n, 64)
+// events on n nodes, e.g. 393,216 at n=4096 with DefaultCapacity.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -377,51 +379,106 @@ func (r *Recorder) Nbrs(node int, round int64, phase int, deg int) {
 	r.nodes[node].push(r.nodeCap, Event{Kind: KindNbrs, Round: round, Node: int32(node), Phase: int32(phase), Aux: int64(deg)})
 }
 
-// indexed attaches the stream coordinates used as the final sort
-// tiebreak.
-type indexed struct {
-	ev     Event
-	stream int32
-	seq    int64
+// Events returns the live events in canonical order: ascending
+// (Round, Node, Kind, stream, per-stream sequence), where the
+// scheduler stream ranks before the node streams and those rank by
+// node. The order is total and deterministic for a fixed-seed run,
+// which is what makes the JSONL stream byte-identical across repeats
+// and worker counts.
+//
+// The stream coordinates never need comparing. Scheduler kinds
+// (awake, send, deliver, lost) and node kinds (the rest) are
+// disjoint, and node v's stream holds only node v's events, so events
+// that tie on (Round, Node, Kind) always come from one stream.
+// Collecting the streams in (stream, sequence) order and breaking
+// (Round, Node, Kind) ties by collection position therefore yields
+// exactly the canonical order. Events packs those four coordinates
+// into one uint64 key per event (round and node offset by their
+// minimum, each field as wide as its observed range needs) and sorts
+// the keys; when the fields do not fit in 64 bits it falls back to a
+// stable sort on (Round, Node, Kind). Besides the result, the only
+// scratch is the key slice.
+func (r *Recorder) Events() []Event {
+	out := make([]Event, 0, r.Len())
+	out = r.sched.appendLive(out)
+	for i := range r.nodes {
+		out = r.nodes[i].appendLive(out)
+	}
+	sortCanonical(out)
+	return out
 }
 
-// Events returns the live events in canonical order: ascending
-// (Round, Node, Kind, stream, per-stream sequence). The order is
-// total and deterministic for a fixed-seed run, which is what makes
-// the JSONL stream byte-identical across repeats and worker counts.
-func (r *Recorder) Events() []Event {
-	all := make([]indexed, 0, r.Len())
-	collect := func(s *stream, id int32) {
-		base := s.seq - int64(s.n)
-		for i := 0; i < s.n; i++ {
-			all = append(all, indexed{ev: s.buf[(s.head+i)%len(s.buf)], stream: id, seq: base + int64(i)})
+// appendLive appends the stream's live events, oldest first.
+func (s *stream) appendLive(dst []Event) []Event {
+	end := s.head + s.n
+	if end <= len(s.buf) {
+		return append(dst, s.buf[s.head:end]...)
+	}
+	dst = append(dst, s.buf[s.head:]...)
+	return append(dst, s.buf[:end-len(s.buf)]...)
+}
+
+// sortCanonical sorts events collected in (stream, sequence) order by
+// (Round, Node, Kind), keeping collection order among ties.
+func sortCanonical(evs []Event) {
+	if len(evs) < 2 {
+		return
+	}
+	minR, maxR := evs[0].Round, evs[0].Round
+	minV, maxV := evs[0].Node, evs[0].Node
+	maxK := evs[0].Kind
+	for i := range evs {
+		ev := &evs[i]
+		minR, maxR = min(minR, ev.Round), max(maxR, ev.Round)
+		minV, maxV = min(minV, ev.Node), max(maxV, ev.Node)
+		maxK = max(maxK, ev.Kind)
+	}
+	// Differences in unsigned arithmetic are exact: max >= min.
+	posBits := bits.Len(uint(len(evs) - 1))
+	kindShift := posBits
+	nodeShift := kindShift + bits.Len8(uint8(maxK))
+	roundShift := nodeShift + bits.Len32(uint32(maxV)-uint32(minV))
+	if roundShift+bits.Len64(uint64(maxR)-uint64(minR)) > 64 {
+		slices.SortStableFunc(evs, func(a, b Event) int {
+			if c := cmp.Compare(a.Round, b.Round); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.Node, b.Node); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Kind, b.Kind)
+		})
+		return
+	}
+	keys := make([]uint64, len(evs))
+	for i := range evs {
+		ev := &evs[i]
+		keys[i] = (uint64(ev.Round)-uint64(minR))<<roundShift |
+			uint64(uint32(ev.Node)-uint32(minV))<<nodeShift |
+			uint64(ev.Kind)<<kindShift | uint64(i)
+	}
+	slices.Sort(keys)
+	// Permute in place along cycles: slot i takes the event from
+	// position keys[i]&pos; a finished slot's key is reset to its own
+	// index so the outer loop skips it.
+	pos := uint64(1)<<posBits - 1
+	for i := range keys {
+		if int(keys[i]&pos) == i {
+			continue
+		}
+		held := evs[i]
+		j := i
+		for {
+			k := int(keys[j] & pos)
+			keys[j] = uint64(j)
+			if k == i {
+				evs[j] = held
+				break
+			}
+			evs[j] = evs[k]
+			j = k
 		}
 	}
-	collect(&r.sched, -1)
-	for i := range r.nodes {
-		collect(&r.nodes[i], int32(i))
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.ev.Round != b.ev.Round {
-			return a.ev.Round < b.ev.Round
-		}
-		if a.ev.Node != b.ev.Node {
-			return a.ev.Node < b.ev.Node
-		}
-		if a.ev.Kind != b.ev.Kind {
-			return a.ev.Kind < b.ev.Kind
-		}
-		if a.stream != b.stream {
-			return a.stream < b.stream
-		}
-		return a.seq < b.seq
-	})
-	out := make([]Event, len(all))
-	for i := range all {
-		out[i] = all[i].ev
-	}
-	return out
 }
 
 // Meta is the run-level header/footer information of a JSONL trace.
@@ -455,47 +512,159 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // recorder. It lets callers that hold onto a finished run's events
 // (e.g. the model checker emitting a counterexample) serialize them
 // without keeping the recorder alive; events must already be in
-// canonical order.
+// canonical order. Lines are encoded into one reused buffer that is
+// written to w whenever it fills.
 func WriteEventsJSONL(w io.Writer, meta Meta, events []Event) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, `{"k":"begin","n":%d}`+"\n", meta.N)
+	const chunk = 64 << 10
+	buf := beginLine(meta).appendTo(make([]byte, 0, chunk))
+	var l line
 	for _, ev := range events {
-		writeEvent(bw, ev)
+		if len(buf) > chunk-maxEventLine {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		if eventLine(&l, ev) {
+			buf = l.appendTo(buf)
+		}
 	}
-	fmt.Fprintf(bw, `{"k":"end","rounds":%d,"events":%d,"dropped":%d}`+"\n", meta.Rounds, meta.Events, meta.Dropped)
-	return bw.Flush()
+	buf = endLine(meta).appendTo(buf)
+	_, err := w.Write(buf)
+	return err
 }
 
-// writeEvent renders one event line with a fixed field order.
-func writeEvent(w io.Writer, ev Event) {
+// JSONLSize returns the exact byte length of the stream
+// WriteEventsJSONL writes for (meta, events), without rendering it.
+func JSONLSize(meta Meta, events []Event) int {
+	n := beginLine(meta).size() + endLine(meta).size()
+	var l line
+	for _, ev := range events {
+		if eventLine(&l, ev) {
+			n += l.size()
+		}
+	}
+	return n
+}
+
+// maxEventLine bounds one event line: four keys of at most 25 bytes
+// (the step key of mis-cleanup), four integers of at most 20 bytes,
+// and the closing "}\n".
+const maxEventLine = 4*25 + 4*20 + 2
+
+// line is one JSONL record: each key literal is followed by its
+// decimal integer value, and "}\n" closes the record. The key
+// literals carry all the fixed text, including the `{"k":"...",`
+// opening.
+type line struct {
+	keys []string
+	vals [4]int64
+}
+
+func (l *line) appendTo(b []byte) []byte {
+	for i, k := range l.keys {
+		b = append(b, k...)
+		b = strconv.AppendInt(b, l.vals[i], 10)
+	}
+	return append(b, "}\n"...)
+}
+
+func (l *line) size() int {
+	n := len("}\n")
+	for i, k := range l.keys {
+		n += len(k) + intLen(l.vals[i])
+	}
+	return n
+}
+
+// intLen returns the length of v in decimal.
+func intLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+func beginLine(meta Meta) *line {
+	return &line{keys: []string{`{"k":"begin","n":`}, vals: [4]int64{int64(meta.N)}}
+}
+
+func endLine(meta Meta) *line {
+	return &line{keys: []string{`{"k":"end","rounds":`, `,"events":`, `,"dropped":`},
+		vals: [4]int64{meta.Rounds, meta.Events, meta.Dropped}}
+}
+
+// lineKeys holds each kind's key literals, in the kind's fixed field
+// order; every line starts with the round and the node. The step line
+// takes its keys from stepLineKeys instead.
+var lineKeys = [...][]string{
+	KindPhase:   {`{"k":"phase","r":`, `,"v":`, `,"ph":`, `,"f":`},
+	KindMerge:   {`{"k":"merge","r":`, `,"v":`, `,"f":`, `,"pf":`},
+	KindSleep:   {`{"k":"sleep","r":`, `,"v":`, `,"from":`},
+	KindAwake:   {`{"k":"awake","r":`, `,"v":`},
+	KindSend:    {`{"k":"send","r":`, `,"v":`, `,"p":`, `,"to":`},
+	KindDeliver: {`{"k":"deliver","r":`, `,"v":`, `,"p":`, `,"from":`},
+	KindLost:    {`{"k":"lost","r":`, `,"v":`, `,"p":`, `,"to":`},
+	KindCrash:   {`{"k":"crash","r":`, `,"v":`},
+	KindNbrs:    {`{"k":"nbrs","r":`, `,"v":`, `,"ph":`, `,"deg":`},
+}
+
+// stepLineKeys holds the step line's keys for every known step: the
+// step name is fixed text between the phase and the awake count.
+var stepLineKeys = func() (keys [StepMISCleanup + 1][]string) {
+	for s := range keys {
+		keys[s] = stepKeys(Step(s))
+	}
+	return keys
+}()
+
+func stepKeys(s Step) []string {
+	return []string{`{"k":"step","r":`, `,"v":`, `,"ph":`, `,"st":"` + s.String() + `","aw":`}
+}
+
+// eventLine fills l with ev's line; it reports false for an unknown
+// kind, which renders no line.
+func eventLine(l *line, ev Event) bool {
+	l.vals[0], l.vals[1] = ev.Round, int64(ev.Node)
 	switch ev.Kind {
 	case KindPhase:
-		fmt.Fprintf(w, `{"k":"phase","r":%d,"v":%d,"ph":%d,"f":%d}`+"\n", ev.Round, ev.Node, ev.Phase, ev.Frag)
+		l.vals[2], l.vals[3] = int64(ev.Phase), ev.Frag
 	case KindStep:
-		fmt.Fprintf(w, `{"k":"step","r":%d,"v":%d,"ph":%d,"st":"%s","aw":%d}`+"\n", ev.Round, ev.Node, ev.Phase, ev.Step, ev.Aux)
+		l.vals[2], l.vals[3] = int64(ev.Phase), ev.Aux
+		if int(ev.Step) < len(stepLineKeys) {
+			l.keys = stepLineKeys[ev.Step]
+		} else {
+			l.keys = stepKeys(ev.Step)
+		}
+		return true
 	case KindMerge:
-		fmt.Fprintf(w, `{"k":"merge","r":%d,"v":%d,"f":%d,"pf":%d}`+"\n", ev.Round, ev.Node, ev.Frag, ev.Prev)
+		l.vals[2], l.vals[3] = ev.Frag, ev.Prev
 	case KindSleep:
-		fmt.Fprintf(w, `{"k":"sleep","r":%d,"v":%d,"from":%d}`+"\n", ev.Round, ev.Node, ev.Aux)
-	case KindAwake:
-		fmt.Fprintf(w, `{"k":"awake","r":%d,"v":%d}`+"\n", ev.Round, ev.Node)
-	case KindSend:
-		fmt.Fprintf(w, `{"k":"send","r":%d,"v":%d,"p":%d,"to":%d}`+"\n", ev.Round, ev.Node, ev.Port, ev.Peer)
-	case KindDeliver:
-		fmt.Fprintf(w, `{"k":"deliver","r":%d,"v":%d,"p":%d,"from":%d}`+"\n", ev.Round, ev.Node, ev.Port, ev.Peer)
-	case KindLost:
-		fmt.Fprintf(w, `{"k":"lost","r":%d,"v":%d,"p":%d,"to":%d}`+"\n", ev.Round, ev.Node, ev.Port, ev.Peer)
-	case KindCrash:
-		fmt.Fprintf(w, `{"k":"crash","r":%d,"v":%d}`+"\n", ev.Round, ev.Node)
+		l.vals[2] = ev.Aux
+	case KindAwake, KindCrash:
+	case KindSend, KindDeliver, KindLost:
+		l.vals[2], l.vals[3] = int64(ev.Port), int64(ev.Peer)
 	case KindNbrs:
-		fmt.Fprintf(w, `{"k":"nbrs","r":%d,"v":%d,"ph":%d,"deg":%d}`+"\n", ev.Round, ev.Node, ev.Phase, ev.Aux)
+		l.vals[2], l.vals[3] = int64(ev.Phase), ev.Aux
+	default:
+		return false
 	}
+	l.keys = lineKeys[ev.Kind]
+	return true
 }
 
 // String renders the event as its JSONL line (without the trailing
-// newline), the same bytes WriteJSONL emits for it.
+// newline), the same bytes WriteJSONL emits for it; an unknown kind
+// renders as "".
 func (ev Event) String() string {
-	var b strings.Builder
-	writeEvent(&b, ev)
-	return strings.TrimSuffix(b.String(), "\n")
+	var l line
+	if !eventLine(&l, ev) {
+		return ""
+	}
+	b := l.appendTo(nil)
+	return string(b[:len(b)-1])
 }

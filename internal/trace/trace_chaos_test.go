@@ -120,3 +120,39 @@ func TestTimelineFromChaosRun(t *testing.T) {
 		t.Errorf("timeline missing crash marker:\n%s", text)
 	}
 }
+
+// TestEventsMatchReferenceChaosDelay checks the canonical order of a
+// real recorded run against the five-field reference order, on a run
+// whose delayed message copies make lost events land out of round
+// order in the scheduler stream, at a capacity small enough to evict.
+func TestEventsMatchReferenceChaosDelay(t *testing.T) {
+	g := graph.RandomConnected(24, 60, graph.GenConfig{Seed: 5})
+	for _, capacity := range []int{0, 256} {
+		rec := trace.NewRecorder(capacity)
+		core.RunRandomized(g, core.Options{ // a faulted run may fail; its trace is what counts
+			Seed:        2,
+			Trace:       rec,
+			Interceptor: chaos.New(chaos.Options{Seed: 3, DelayRate: 0.2}),
+		})
+		if err := trace.CheckStreams(rec); err != nil {
+			t.Fatal(err)
+		}
+		got, want := rec.Events(), trace.ReferenceEvents(rec)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("capacity %d: Events returned %d events, reference %d", capacity, len(got), len(want))
+		}
+		late := false
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("capacity %d: event %d: Events gives %v, reference %v", capacity, i, got[i], want[i])
+			}
+			late = late || want[i].Kind == trace.KindLost
+		}
+		if !late {
+			t.Errorf("capacity %d: the delay run lost no message copy", capacity)
+		}
+		if capacity > 0 && rec.Dropped() == 0 {
+			t.Errorf("capacity %d: no event was evicted", capacity)
+		}
+	}
+}

@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"sleepmst"
-	"sleepmst/internal/conform"
 	"sleepmst/internal/problem"
 	"sleepmst/internal/service"
 	"sleepmst/internal/trace"
@@ -63,32 +62,6 @@ import (
 // correctness oracle failed — exit code 1, distinct from
 // infrastructure failures (exit code 2).
 var errViolation = errors.New("conformance violation")
-
-// artifactSchema versions the mstserve JSON artifact.
-const artifactSchema = 1
-
-// artifact is the JSON output: the conformance verdict (transport
-// independent) plus the run and wire summaries.
-type artifact struct {
-	Schema    int    `json:"schema"`
-	Problem   string `json:"problem"`
-	Graph     string `json:"graph"`
-	N         int    `json:"n"`
-	M         int    `json:"m"`
-	Seed      int64  `json:"seed"`
-	Transport string `json:"transport"`
-
-	// Verdict is the conformance verdict over the run's trace plus the
-	// problem's correctness oracle — byte-identical across backends.
-	Verdict *conform.Verdict `json:"verdict"`
-
-	// Run summarizes the sleeping-model accounting.
-	Run service.RunSummary `json:"run"`
-
-	// Wire is the physical transport accounting; timing-dependent
-	// counters (retries, redials) live here and only here.
-	Wire service.WireSummary `json:"wire"`
-}
 
 func main() {
 	var (
@@ -229,69 +202,19 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	}
 	defer tx.Close()
 
-	rec := sleepmst.NewTraceRecorder(traceCap)
-	r, err := p.Run(g, sleepmst.Options{
-		Engine:    engine,
-		Seed:      seed,
-		Trace:     rec,
-		Transport: tx,
-	})
+	cell, err := service.RunCell(p, g, sleepmst.Options{Engine: engine, Seed: seed, Transport: tx}, traceCap)
 	if err != nil {
 		return fmt.Errorf("run failed (wire faults beyond the retry budget surface here): %w", err)
 	}
-
-	meta, events := rec.Meta(), rec.Events()
-	verdict := conform.Suite{
-		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: seed, Budget: p.Budget},
-		Meta:   meta,
-		Events: events,
-		Extra:  []conform.Check{p.ConformCheck(g, r)},
-	}.Verdict()
-
-	a := artifact{
-		Schema:    artifactSchema,
-		Problem:   p.Name(),
-		Graph:     graphKind,
-		N:         g.N(),
-		M:         g.M(),
-		Seed:      seed,
-		Transport: txName,
-		Verdict:   verdict,
-		Run: service.RunSummary{
-			AwakeMax:     r.Sim.MaxAwake(),
-			AwakeAvg:     r.Sim.MeanAwake(),
-			Rounds:       r.Sim.Rounds,
-			BusyRounds:   r.Sim.BusyRounds,
-			Sent:         r.Sim.MessagesSent,
-			Delivered:    r.Sim.MessagesDelivered,
-			Lost:         r.Sim.MessagesLost,
-			BitsSent:     r.Sim.BitsSent,
-			Phases:       r.Phases,
-			VerifyPassed: p.Verify(g, r) == nil,
-		},
-	}
-	if r.Outcome != nil {
-		a.Run.MSTWeight = sleepmst.TotalWeight(r.Outcome.MSTEdges)
-	}
-	if s, ok := sleepmst.TransportStatsOf(tx); ok {
-		a.Wire = service.WireSummary{
-			FramesSent:     s.FramesSent,
-			FramesRecv:     s.FramesRecv,
-			WireBytes:      s.WireBytes,
-			Dials:          s.Dials,
-			Redials:        s.Redials,
-			SendRetries:    s.SendRetries,
-			InjectedDrops:  s.InjectedDrops,
-			InjectedDelays: s.InjectedDelays,
-		}
-	}
+	a := &cell.Artifact
+	a.Graph, a.Transport = graphKind, txName
 
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteEventsJSONL(f, meta, events); err != nil {
+		if err := trace.WriteEventsJSONL(f, cell.Meta, cell.Events); err != nil {
 			f.Close()
 			return err
 		}
@@ -311,7 +234,7 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	} else if err := os.WriteFile(outPath, data, 0o644); err != nil {
 		return err
 	}
-	if !verdict.Pass || !a.Run.VerifyPassed {
+	if !cell.Pass() {
 		return fmt.Errorf("%w: %s on %s n=%d", errViolation, p.Name(), graphKind, g.N())
 	}
 	return nil

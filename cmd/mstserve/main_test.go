@@ -18,7 +18,7 @@ import (
 )
 
 // serveCell runs serve once and decodes the artifact.
-func serveCell(t *testing.T, probName, txName string, n int, drop, delay float64, retries int) (artifact, []byte) {
+func serveCell(t *testing.T, probName, txName string, n int, drop, delay float64, retries int) (service.Artifact, []byte) {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "verdict.json")
 	err := serve("random", n, 2*n, 0, 0.2, 1, probName, "event", txName,
@@ -31,7 +31,7 @@ func serveCell(t *testing.T, probName, txName string, n int, drop, delay float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a artifact
+	var a service.Artifact
 	if err := json.Unmarshal(data, &a); err != nil {
 		t.Fatalf("artifact does not parse: %v", err)
 	}
@@ -40,7 +40,7 @@ func serveCell(t *testing.T, probName, txName string, n int, drop, delay float64
 
 // verdictBytes re-marshals just the transport-independent sections
 // for byte comparison across backends.
-func verdictBytes(t *testing.T, a artifact) []byte {
+func verdictBytes(t *testing.T, a service.Artifact) []byte {
 	t.Helper()
 	b, err := json.Marshal(struct {
 		V interface{}        `json:"verdict"`
@@ -67,6 +67,31 @@ func TestServeVerdictIdenticalAcrossBackends(t *testing.T) {
 		}
 		if tcp.Wire.FramesSent == 0 || tcp.Wire.WireBytes == 0 {
 			t.Errorf("%s: tcp wire section empty: %+v", probName, tcp.Wire)
+		}
+	}
+}
+
+// TestServeMatchesService pins that the one-shot command and the
+// persistent service share one certified cell: the same request gives
+// byte-identical verdict, run and wire sections through both drivers.
+func TestServeMatchesService(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Drain()
+	for _, probName := range []string{"mis", "mst/randomized"} {
+		oneShot, _ := serveCell(t, probName, "inproc", 32, 0, 0, transport.DefaultRetries)
+		resp := svc.Submit(service.Request{ID: 1, Problem: probName, Graph: "random", N: 32, Seed: 1, Transport: "inproc"})
+		if resp.Status != service.StatusOK {
+			t.Fatalf("%s: service answered %v (%s)", probName, resp.Status, resp.Detail)
+		}
+		var served service.Artifact
+		if err := json.Unmarshal(resp.Artifact, &served); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(verdictBytes(t, oneShot)), string(verdictBytes(t, served)); got != want {
+			t.Errorf("%s: verdict+run sections differ:\none-shot: %s\nservice:  %s", probName, got, want)
+		}
+		if oneShot.Wire == nil || served.Wire == nil || *oneShot.Wire != *served.Wire {
+			t.Errorf("%s: wire sections differ: one-shot %+v, service %+v", probName, oneShot.Wire, served.Wire)
 		}
 	}
 }

@@ -39,12 +39,13 @@ import (
 	"sleepmst/internal/core"
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/prof"
+	"sleepmst/internal/service"
 	"sleepmst/internal/trace"
 )
 
 func main() {
 	var (
-		graphKind = flag.String("graph", "random", "topology: random|ring|path|grid|complete|sensor")
+		graphKind = flag.String("graph", "random", "topology: "+service.GraphKindList)
 		n         = flag.Int("n", 128, "number of nodes")
 		m         = flag.Int("m", 0, "edges for -graph random (default 3n)")
 		rows      = flag.Int("rows", 0, "rows for -graph grid (default sqrt(n))")
@@ -93,18 +94,16 @@ func main() {
 	case *chaosFault != "":
 		err = runChaos(*graphKind, *n, *m, *rows, *radius, *seed, *bitCap,
 			*chaosFault, *rateList, *chaosSeeds, *chaosAlgos, *awakeBud, *jsonOut, *workers, engine)
-	case *problem == "mst":
+	default:
+		// -problem mst selects the algorithm with -algo: the registry
+		// resolves mst/<algo>.
+		name := *problem
+		if name == "mst" {
+			name = "mst/" + *algoName
+		}
 		err = run(runOpts{
 			graphKind: *graphKind, n: *n, m: *m, rows: *rows, radius: *radius,
-			seed: *seed, algoName: *algoName, idSpace: *idSpace, bitCap: *bitCap, engine: engine,
-			transport: *txName,
-			showTrace: *showTrace, showHist: *showHist, width: *width,
-			traceOut: *traceOut, traceCap: *traceCap, showMetrics: *showMetrics,
-		})
-	default:
-		err = runProblem(runOpts{
-			graphKind: *graphKind, n: *n, m: *m, rows: *rows, radius: *radius,
-			seed: *seed, algoName: *problem, idSpace: *idSpace, bitCap: *bitCap, engine: engine,
+			seed: *seed, problem: name, idSpace: *idSpace, bitCap: *bitCap, engine: engine,
 			transport: *txName,
 			showTrace: *showTrace, showHist: *showHist, width: *width,
 			traceOut: *traceOut, traceCap: *traceCap, showMetrics: *showMetrics,
@@ -125,7 +124,7 @@ func main() {
 func runChaos(graphKind string, n, m, rows int, radius float64, seed int64, bitCap bool,
 	faultName, rateList string, seeds int, algoList string, awakeBudget int64, jsonOut string, workers int,
 	engine sleepmst.Engine) error {
-	g, err := buildGraph(graphKind, n, m, rows, radius, seed)
+	g, err := service.BuildGraph(graphKind, n, randomEdges(n, m), rows, radius, seed)
 	if err != nil {
 		return err
 	}
@@ -217,7 +216,7 @@ type runOpts struct {
 	n, m, rows          int
 	radius              float64
 	seed                int64
-	algoName            string
+	problem             string // registry name or bare MST alias
 	idSpace             int64
 	bitCap              bool
 	transport           string // wire backend name ('' = in-memory)
@@ -228,99 +227,18 @@ type runOpts struct {
 	showMetrics         bool
 }
 
-func run(o runOpts) error {
-	g, err := buildGraph(o.graphKind, o.n, o.m, o.rows, o.radius, o.seed)
-	if err != nil {
-		return err
-	}
-	if o.idSpace > 0 {
-		sleepmst.WithRandomIDs(g, o.idSpace, o.seed+1)
-	}
-	algo, err := sleepmst.ParseAlgorithm(o.algoName)
-	if err != nil {
-		return err
-	}
-	opts := sleepmst.Options{
-		Engine:            o.engine,
-		Seed:              o.seed,
-		RecordAwakeRounds: o.showTrace,
-		RecordPhases:      true,
-	}
-	if tx, err := sleepmst.ParseTransport(o.transport); err != nil {
-		return err
-	} else if tx != nil {
-		defer tx.Close()
-		opts.Transport = tx
-	}
-	if o.bitCap {
-		opts.BitCap = core.DefaultBitCap(g)
-	}
-	var rec *trace.Recorder
-	if o.traceOut != "" {
-		rec = trace.NewRecorder(o.traceCap)
-		opts.Trace = rec
-	}
-	var reg *metrics.Registry
-	if o.showMetrics {
-		reg = metrics.New()
-		opts.Metrics = reg
-	}
-	rep, err := sleepmst.Run(algo, g, opts)
-	if err != nil {
-		return err
-	}
-	res := rep.Result
-	fmt.Printf("graph          : %s n=%d m=%d maxID=%d\n", o.graphKind, g.N(), g.M(), g.MaxID())
-	fmt.Printf("algorithm      : %s\n", algo)
-	fmt.Printf("phases         : %d\n", rep.Phases)
-	fmt.Printf("awake max/avg  : %d / %.2f\n", res.MaxAwake(), res.MeanAwake())
-	fmt.Printf("rounds         : %d (busy %d)\n", res.Rounds, res.BusyRounds)
-	fmt.Printf("messages       : sent=%d delivered=%d lost=%d\n",
-		res.MessagesSent, res.MessagesDelivered, res.MessagesLost)
-	fmt.Printf("bits           : sent=%d, max received per node=%d\n", res.BitsSent, res.MaxBitsReceived())
-	fmt.Printf("MST weight     : %d (verified=%v)\n", rep.MSTWeight(), rep.Verified())
-	if len(rep.FragmentsPerPhase) > 0 {
-		fmt.Printf("fragment decay : %v\n", rep.FragmentsPerPhase)
-	}
-	if o.showHist {
-		fmt.Println()
-		fmt.Print(trace.Histogram(res.TraceView(), 50))
-	}
-	if o.showTrace {
-		fmt.Println()
-		v := res.TraceView()
-		if g.N() > 64 {
-			fmt.Printf("(showing first 64 of %d nodes)\n", g.N())
-			v = v.Clip(64)
-		}
-		fmt.Print(trace.Timeline(v, o.width))
-	}
-	if reg != nil {
-		fmt.Println()
-		fmt.Print(reg.String())
-	}
-	if rec != nil {
-		if err := writeTrace(rec, o.traceOut); err != nil {
-			return err
-		}
-		meta := rec.Meta()
-		fmt.Printf("trace          : %d events (%d dropped) -> %s\n", meta.Events, meta.Dropped, o.traceOut)
-	}
-	return nil
-}
-
-// runProblem executes one problem-suite run (-problem mis,
+// run executes one single run of a registered problem (mis,
 // mst/randomized, ...): the problem registry supplies the algorithm,
 // the awake-budget envelope, and the correctness oracle.
-func runProblem(o runOpts) error {
-	g, err := buildGraph(o.graphKind, o.n, o.m, o.rows, o.radius, o.seed)
+func run(o runOpts) error {
+	g, err := service.BuildGraph(o.graphKind, o.n, randomEdges(o.n, o.m), o.rows, o.radius, o.seed)
 	if err != nil {
 		return err
 	}
 	if o.idSpace > 0 {
 		sleepmst.WithRandomIDs(g, o.idSpace, o.seed+1)
 	}
-	p, err := sleepmst.LookupProblem(o.algoName)
+	p, err := sleepmst.LookupProblem(o.problem)
 	if err != nil {
 		return err
 	}
@@ -344,8 +262,8 @@ func runProblem(o runOpts) error {
 		rec = trace.NewRecorder(o.traceCap)
 		opts.Trace = rec
 	}
-	// The registry is always on in the problem path so the
-	// node-averaged awake complexity can be reported.
+	// The registry is always on so the node-averaged awake complexity
+	// can be reported.
 	reg := metrics.New()
 	opts.Metrics = reg
 	r, err := p.Run(g, opts)
@@ -376,11 +294,10 @@ func runProblem(o runOpts) error {
 		}
 		fmt.Printf("MIS size       : %d (verified=%v)\n", size, verified)
 	case r.Outcome != nil:
-		var weight int64
-		for _, e := range r.Outcome.MSTEdges {
-			weight += e.Weight
+		fmt.Printf("MST weight     : %d (verified=%v)\n", sleepmst.TotalWeight(r.Outcome.MSTEdges), verified)
+		if len(r.Outcome.FragmentsPerPhase) > 0 {
+			fmt.Printf("fragment decay : %v\n", r.Outcome.FragmentsPerPhase)
 		}
-		fmt.Printf("MST weight     : %d (verified=%v)\n", weight, verified)
 	}
 	if o.showHist {
 		fmt.Println()
@@ -414,7 +331,7 @@ func runProblem(o runOpts) error {
 // policy and classified by the MIS outcome oracle.
 func runMISChaos(graphKind string, n, m, rows int, radius float64, seed int64, bitCap bool,
 	faultName, rateList string, seeds int, awakeBudget int64, engine sleepmst.Engine) error {
-	g, err := buildGraph(graphKind, n, m, rows, radius, seed)
+	g, err := service.BuildGraph(graphKind, n, randomEdges(n, m), rows, radius, seed)
 	if err != nil {
 		return err
 	}
@@ -482,35 +399,11 @@ func writeTrace(rec *trace.Recorder, path string) error {
 	return f.Close()
 }
 
-func buildGraph(kind string, n, m, rows int, radius float64, seed int64) (*sleepmst.Graph, error) {
-	switch kind {
-	case "random":
-		if m <= 0 {
-			m = 3 * n
-		}
-		return sleepmst.RandomConnected(n, m, seed), nil
-	case "ring":
-		return sleepmst.Ring(n, seed), nil
-	case "path":
-		return sleepmst.Path(n, seed), nil
-	case "grid":
-		if rows <= 0 {
-			rows = intSqrt(n)
-		}
-		return sleepmst.Grid(rows, (n+rows-1)/rows, seed), nil
-	case "complete":
-		return sleepmst.Complete(n, seed), nil
-	case "sensor":
-		return sleepmst.SensorNetwork(n, radius, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
+// randomEdges resolves sleepsim's random-graph edge default, m = 3n
+// (denser than service.BuildGraph's 2n).
+func randomEdges(n, m int) int {
+	if m <= 0 {
+		return 3 * n
 	}
-}
-
-func intSqrt(n int) int {
-	r := 1
-	for r*r < n {
-		r++
-	}
-	return r
+	return m
 }

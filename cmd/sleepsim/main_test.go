@@ -5,73 +5,54 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sleepmst/internal/service"
 )
 
+// TestBuildGraphKinds: every -graph kind builds through
+// service.BuildGraph with sleepsim's defaults, and random keeps
+// sleepsim's denser m = 3n instead of the service's 2n.
 func TestBuildGraphKinds(t *testing.T) {
-	cases := []struct {
-		kind  string
-		n     int
-		wantN int
-	}{
-		{"random", 20, 20},
-		{"ring", 12, 12},
-		{"path", 9, 9},
-		{"grid", 16, 16},
-		{"complete", 7, 7},
-		{"sensor", 25, 25},
-	}
-	for _, tc := range cases {
-		t.Run(tc.kind, func(t *testing.T) {
-			g, err := buildGraph(tc.kind, tc.n, 0, 0, 0.3, 5)
+	for _, kind := range []string{"random", "ring", "path", "grid", "complete", "sensor"} {
+		t.Run(kind, func(t *testing.T) {
+			g, err := service.BuildGraph(kind, 16, randomEdges(16, 0), 0, 0.3, 5)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			if g.N() != tc.wantN {
-				t.Errorf("n = %d, want %d", g.N(), tc.wantN)
+			if g.N() != 16 {
+				t.Errorf("n = %d, want 16", g.N())
+			}
+			if kind == "random" && g.M() != 48 {
+				t.Errorf("random m = %d, want the 3n default 48", g.M())
 			}
 		})
 	}
-	if _, err := buildGraph("nope", 10, 0, 0, 0.3, 5); err == nil {
-		t.Error("want error for unknown kind")
-	}
-}
-
-func TestGridDimensions(t *testing.T) {
-	// grid with non-square n: rows*cols >= n with default rows.
-	g, err := buildGraph("grid", 10, 0, 0, 0, 1)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	if g.N() < 10 {
-		t.Errorf("grid n = %d, want >= 10", g.N())
-	}
-}
-
-func TestIntSqrt(t *testing.T) {
-	for n, want := range map[int]int{1: 1, 4: 2, 10: 4, 16: 4, 17: 5} {
-		if got := intSqrt(n); got != want {
-			t.Errorf("intSqrt(%d) = %d, want %d", n, got, want)
-		}
+	if got := randomEdges(16, 20); got != 20 {
+		t.Errorf("randomEdges(16, 20) = %d, want an explicit m kept", got)
 	}
 }
 
 func TestRunEndToEnd(t *testing.T) {
 	// The whole CLI path minus flag parsing.
-	if err := run(runOpts{graphKind: "ring", n: 16, seed: 3, algoName: "randomized", bitCap: true, width: 40}); err != nil {
+	if err := run(runOpts{graphKind: "ring", n: 16, seed: 3, problem: "mst/randomized", bitCap: true, width: 40}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := run(runOpts{graphKind: "path", n: 8, seed: 3, algoName: "deterministic", idSpace: 32,
+	if err := run(runOpts{graphKind: "path", n: 8, seed: 3, problem: "mst/deterministic", idSpace: 32,
 		showTrace: true, showHist: true, width: 40}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := run(runOpts{graphKind: "ring", n: 8, seed: 3, algoName: "unknown-algo", width: 40}); err == nil {
+	if err := run(runOpts{graphKind: "ring", n: 8, seed: 3, problem: "mst/unknown-algo", width: 40}); err == nil {
 		t.Fatal("want error for unknown algorithm")
+	}
+	// A topology the generators cannot build is an error, not a panic.
+	if err := run(runOpts{graphKind: "ring", n: 2, seed: 3, problem: "mst/randomized", width: 40}); err == nil {
+		t.Fatal("want error for a 2-node ring")
 	}
 }
 
 func TestRunWithObservability(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := run(runOpts{graphKind: "ring", n: 12, seed: 5, algoName: "randomized",
+	if err := run(runOpts{graphKind: "ring", n: 12, seed: 5, problem: "mst/randomized",
 		traceOut: out, showMetrics: true, width: 40}); err != nil {
 		t.Fatalf("run: %v", err)
 	}

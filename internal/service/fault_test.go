@@ -278,6 +278,36 @@ func TestFaultOversizedResponse(t *testing.T) {
 	assertNoLeaks(t, before)
 }
 
+// TestFaultEdgeCap: BuildGraph cannot be canceled, so admission bounds
+// the edge count a request asks for at 16·MaxN before anything is
+// built. A random request with a huge m and a complete graph at MaxN
+// (each once seconds and gigabytes of graph build) are answered
+// invalid at once, with the count and the cap in the detail.
+func TestFaultEdgeCap(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Drain()
+	for _, req := range []Request{
+		{ID: 1, Problem: "mst/randomized", Graph: "random", N: 4096, M: 1 << 40},
+		{ID: 2, Problem: "mst/randomized", Graph: "complete", N: 4096},
+	} {
+		start := time.Now()
+		resp := svc.Submit(req)
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: answered after %v, want well under a second", req.Graph, took)
+		}
+		if resp.Status != StatusInvalid {
+			t.Fatalf("%s: status %v (%s), want invalid", req.Graph, resp.Status, resp.Detail)
+		}
+		want := req.Graph + " graph asks for 8386560 edges, over the admitted edge cap 65536"
+		if resp.Detail != want {
+			t.Errorf("detail = %q, want %q", resp.Detail, want)
+		}
+	}
+	if got := svc.Metrics().Get("service/status/invalid"); got != 2 {
+		t.Errorf("service/status/invalid = %d, want 2", got)
+	}
+}
+
 // mustFrame encodes a protocol message frame for test input.
 func mustFrame(msg interface{}) []byte {
 	buf, err := appendFrame(nil, msg)

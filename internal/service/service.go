@@ -40,7 +40,6 @@ import (
 
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
-	"sleepmst/internal/graph"
 	"sleepmst/internal/metrics"
 	"sleepmst/internal/problem"
 	"sleepmst/internal/sim"
@@ -165,6 +164,10 @@ func (s *Service) Submit(req Request) Response {
 	return <-done
 }
 
+// edgeCap is the admitted per-request edge count, 16·MaxN (65,536 at
+// the default MaxN).
+func (s *Service) edgeCap() int { return 16 * s.cfg.MaxN }
+
 // validate checks the request against the admission contract and
 // resolves the problem. A non-empty detail string is the rejection
 // reason (StatusInvalid).
@@ -190,6 +193,11 @@ func (s *Service) validate(req *Request) (problem.Problem, string) {
 	}
 	if req.Graph == "sensor" && (math.IsNaN(req.Radius) || req.Radius < 0 || req.Radius > 2) {
 		return nil, fmt.Sprintf("sensor radius %v outside [0, 2]", req.Radius)
+	}
+	// BuildGraph cannot be canceled, so the deadline cannot stop an
+	// oversized build: bound the edge count before building.
+	if e := requestedEdges(req.Graph, req.N, req.M, req.Radius); e > float64(s.edgeCap()) {
+		return nil, fmt.Sprintf("%s graph asks for %.0f edges, over the admitted edge cap %d", req.Graph, e, s.edgeCap())
 	}
 	if req.Engine != "" {
 		if _, err := sim.ParseEngine(req.Engine); err != nil {
@@ -241,6 +249,10 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
 			Detail: fmt.Sprintf("built %s graph has %d nodes, over the admitted cap %d", req.Graph, g.N(), s.cfg.MaxN)}, "")
 	}
+	if g.M() > s.edgeCap() {
+		return s.finish(req, Response{ID: req.ID, Status: StatusInvalid,
+			Detail: fmt.Sprintf("built %s graph has %d edges, over the admitted edge cap %d", req.Graph, g.M(), s.edgeCap())}, "")
+	}
 	var tx transport.Transport
 	switch req.Transport {
 	case "inproc":
@@ -260,16 +272,14 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		traceCap = DefaultTraceCap
 	}
 
-	rec := trace.NewRecorder(traceCap)
 	reg := metrics.New()
-	r, err := p.Run(g, core.Options{
+	cell, err := RunCell(p, g, core.Options{
 		Engine:    engine,
 		Seed:      req.Seed,
-		Trace:     rec,
 		Metrics:   reg,
 		Transport: tx,
 		Cancel:    cancel,
-	})
+	}, traceCap)
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) {
 			return s.finish(req, Response{ID: req.ID, Status: StatusDeadline,
@@ -277,62 +287,13 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 		}
 		return s.finish(req, Response{ID: req.ID, Status: StatusInternal, Detail: err.Error()}, "")
 	}
-
-	// The one canonical event slice of this request: the certificate
-	// replays it, and a WantTrace response renders it.
-	meta, events := rec.Meta(), rec.Events()
-	verdict := conform.Suite{
-		Info:   conform.RunInfo{Algorithm: p.Name(), N: g.N(), Seed: req.Seed, Budget: p.Budget},
-		Meta:   meta,
-		Events: events,
-		Extra:  []conform.Check{p.ConformCheck(g, r)},
-	}.Verdict()
-	verify := p.Verify(g, r)
-
-	a := Artifact{
-		Schema:    ArtifactSchema,
-		ID:        req.ID,
-		Problem:   p.Name(),
-		Graph:     req.Graph,
-		N:         g.N(),
-		M:         g.M(),
-		Seed:      req.Seed,
-		Transport: req.Transport,
-		Verdict:   verdict,
-		Run: RunSummary{
-			AwakeMax:     r.Sim.MaxAwake(),
-			AwakeAvg:     r.Sim.MeanAwake(),
-			Rounds:       r.Sim.Rounds,
-			BusyRounds:   r.Sim.BusyRounds,
-			Sent:         r.Sim.MessagesSent,
-			Delivered:    r.Sim.MessagesDelivered,
-			Lost:         r.Sim.MessagesLost,
-			BitsSent:     r.Sim.BitsSent,
-			Phases:       r.Phases,
-			VerifyPassed: verify == nil,
-		},
-	}
-	if r.Outcome != nil {
-		a.Run.MSTWeight = graph.TotalWeight(r.Outcome.MSTEdges)
-	}
-	if st, ok := tx.(transport.Statser); ok {
-		w := st.TransportStats()
-		a.Wire = &WireSummary{
-			FramesSent:     w.FramesSent,
-			FramesRecv:     w.FramesRecv,
-			WireBytes:      w.WireBytes,
-			Dials:          w.Dials,
-			Redials:        w.Redials,
-			SendRetries:    w.SendRetries,
-			InjectedDrops:  w.InjectedDrops,
-			InjectedDelays: w.InjectedDelays,
-		}
-	}
+	a, meta, events := &cell.Artifact, cell.Meta, cell.Events
+	a.ID, a.Graph, a.Transport = req.ID, req.Graph, req.Transport
 
 	resp = Response{ID: req.ID, Status: StatusOK}
-	if !verdict.Pass || verify != nil {
+	if !cell.Pass() {
 		resp.Status = StatusViolation
-		resp.Detail = violationDetail(verdict, verify)
+		resp.Detail = violationDetail(a.Verdict, cell.Verify)
 	}
 	data, err := json.Marshal(a)
 	if err != nil {

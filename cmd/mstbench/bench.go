@@ -46,8 +46,8 @@ type BenchCell struct {
 type BenchResult struct {
 	Label string `json:"label"`
 	Go    string `json:"go"`
-	// Engine names the simulator scheduler the suite ran on ("" in
-	// artifacts predating the engine option = goroutine).
+	// Engine names the simulator scheduler the suite ran on: always
+	// "event" ("" in artifacts predating the field = goroutine).
 	Engine  string      `json:"engine,omitempty"`
 	Workers int         `json:"workers"`
 	Seeds   int         `json:"seeds"`
@@ -87,7 +87,7 @@ func (h *harness) runBench(label string) (*BenchResult, error) {
 		a, n, seed := algos[c[0]], h.ns[c[1]], int64(c[2])
 		g := benchGraph(n)
 		start := time.Now()
-		rep, err := sleepmst.Run(a, g, sleepmst.Options{Engine: h.engine, Seed: seed})
+		rep, err := sleepmst.Run(a, g, sleepmst.Options{Seed: seed})
 		if err != nil {
 			return timing{}, fmt.Errorf("%s n=%d seed=%d: %w", a, n, seed, err)
 		}
@@ -108,7 +108,7 @@ func (h *harness) runBench(label string) (*BenchResult, error) {
 	res := &BenchResult{
 		Label:   label,
 		Go:      runtime.Version(),
-		Engine:  h.engine.String(),
+		Engine:  "event",
 		Workers: h.workers,
 		Seeds:   h.seeds,
 	}
@@ -124,7 +124,7 @@ func (h *harness) runBench(label string) (*BenchResult, error) {
 			cell.AwakeMaxMean /= float64(h.seeds)
 			cell.RoundsMean /= float64(h.seeds)
 			cell.WallNsPerRun /= float64(h.seeds)
-			cell.AllocsPerRun, cell.BytesPerRun = allocsPerRun(a, n, h.engine)
+			cell.AllocsPerRun, cell.BytesPerRun = allocsPerRun(a, n)
 			res.Cells = append(res.Cells, cell)
 		}
 	}
@@ -133,12 +133,12 @@ func (h *harness) runBench(label string) (*BenchResult, error) {
 
 // allocsPerRun measures heap allocations of one run with the global
 // allocation counters; it must run with no concurrent jobs.
-func allocsPerRun(a sleepmst.Algorithm, n int, engine sleepmst.Engine) (allocs, bytes float64) {
+func allocsPerRun(a sleepmst.Algorithm, n int) (allocs, bytes float64) {
 	g := benchGraph(n)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := sleepmst.Run(a, g, sleepmst.Options{Engine: engine, Seed: 0}); err != nil {
+	if _, err := sleepmst.Run(a, g, sleepmst.Options{Seed: 0}); err != nil {
 		return 0, 0
 	}
 	runtime.ReadMemStats(&after)

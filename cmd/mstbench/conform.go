@@ -101,7 +101,7 @@ func (h *harness) conformCommand(algoList, traceIn, algoHint, outPath string, tr
 				fmt.Fprintln(os.Stderr, "mstbench:", err)
 				return 1
 			}
-			cell, err := service.RunCell(p, g, sleepmst.Options{Engine: h.engine, Seed: 1, Transport: tx}, traceCap)
+			cell, err := service.RunCell(p, g, sleepmst.Options{Seed: 1, Transport: tx}, traceCap)
 			if tx != nil {
 				tx.Close()
 			}

@@ -72,7 +72,6 @@ func main() {
 		radius    = flag.Float64("radius", 0.2, "radius for -graph sensor")
 		seed      = flag.Int64("seed", 1, "seed for topology, weights and algorithm randomness")
 		probName  = flag.String("problem", "mst/randomized", "problem to serve (qualified name such as mst/randomized or mis, or a bare MST alias)")
-		engName   = flag.String("engine", "event", "simulator scheduler: event or goroutine")
 		txName    = flag.String("transport", "tcp", "wire backend: tcp (real loopback sockets, default) or inproc")
 		retries   = flag.Int("retries", transport.DefaultRetries, "per-frame send retry budget (masks injected drops; 0 = single-attempt sends, drops are permanent)")
 		timeout   = flag.Duration("timeout", transport.DefaultRecvTimeout, "round-barrier receive deadline")
@@ -96,7 +95,7 @@ func main() {
 	if *serveAddr != "" {
 		err = daemon(*serveAddr, *workers, *queue, *deadline, *maxN, *metricsOut)
 	} else {
-		err = serve(*graphKind, *n, *m, *rows, *radius, *seed, *probName, *engName, *txName,
+		err = serve(*graphKind, *n, *m, *rows, *radius, *seed, *probName, *txName,
 			*retries, *timeout, *dropProb, *delayProb, *maxDelay, *faultSeed,
 			*outPath, *traceOut, *traceCap)
 	}
@@ -171,13 +170,9 @@ func daemonOn(ln net.Listener, workers, queue int, deadline time.Duration, maxN 
 
 // serve runs one certified cell end to end and writes the artifact.
 func serve(graphKind string, n, m, rows int, radius float64, seed int64,
-	probName, engName, txName string, retries int, timeout time.Duration,
+	probName, txName string, retries int, timeout time.Duration,
 	dropProb, delayProb float64, maxDelay time.Duration, faultSeed uint64,
 	outPath, traceOut string, traceCap int) error {
-	engine, err := sleepmst.ParseEngine(engName)
-	if err != nil {
-		return err
-	}
 	p, err := problem.Lookup(probName)
 	if err != nil {
 		return err
@@ -202,7 +197,7 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	}
 	defer tx.Close()
 
-	cell, err := service.RunCell(p, g, sleepmst.Options{Engine: engine, Seed: seed, Transport: tx}, traceCap)
+	cell, err := service.RunCell(p, g, sleepmst.Options{Seed: seed, Transport: tx}, traceCap)
 	if err != nil {
 		return fmt.Errorf("run failed (wire faults beyond the retry budget surface here): %w", err)
 	}

@@ -21,7 +21,7 @@ import (
 func serveCell(t *testing.T, probName, txName string, n int, drop, delay float64, retries int) (service.Artifact, []byte) {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "verdict.json")
-	err := serve("random", n, 2*n, 0, 0.2, 1, probName, "event", txName,
+	err := serve("random", n, 2*n, 0, 0.2, 1, probName, txName,
 		retries, transport.DefaultRecvTimeout, drop, delay, time.Millisecond, 3,
 		out, "", 1<<20)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestServeFaultyWireStillCertifies(t *testing.T) {
 // TestServeRejectsUnknownInputs covers the argument surface.
 func TestServeRejectsUnknownInputs(t *testing.T) {
 	base := func(prob, tx, graph string) error {
-		return serve(graph, 8, 16, 0, 0.2, 1, prob, "event", tx,
+		return serve(graph, 8, 16, 0, 0.2, 1, prob, tx,
 			0, time.Second, 0, 0, time.Millisecond, 1, filepath.Join(t.TempDir(), "v.json"), "", 1<<16)
 	}
 	if err := base("nope", "tcp", "random"); err == nil {
@@ -143,11 +143,11 @@ func TestExitCodes(t *testing.T) {
 	}
 	// The one-shot violation path must produce the sentinel: a passing
 	// run must not.
-	if err := serve("random", 16, 32, 0, 0.2, 1, "mis", "event", "inproc",
+	if err := serve("random", 16, 32, 0, 0.2, 1, "mis", "inproc",
 		0, time.Second, 0, 0, time.Millisecond, 1, filepath.Join(t.TempDir(), "v.json"), "", 1<<16); err != nil {
 		t.Errorf("passing cell returned %v", err)
 	}
-	if err := serve("random", 16, 32, 0, 0.2, 1, "nope", "event", "inproc",
+	if err := serve("random", 16, 32, 0, 0.2, 1, "nope", "inproc",
 		0, time.Second, 0, 0, time.Millisecond, 1, filepath.Join(t.TempDir(), "v.json"), "", 1<<16); exitCode(err) != 2 {
 		t.Errorf("unknown problem classified as %d, want 2", exitCode(err))
 	}

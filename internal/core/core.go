@@ -33,8 +33,10 @@ import (
 // Options configures an MST run.
 type Options struct {
 	// Engine selects the simulator's scheduler implementation (see
-	// sim.Engine). The zero value is the event engine; both engines are
-	// byte-identical on fixed seeds.
+	// sim.Engine); tests only. The zero value, the event engine, is the
+	// only one any CLI, the service or the public API selects; the
+	// differential tests set the goroutine engine, byte-identical on
+	// fixed seeds.
 	Engine sim.Engine
 	// Seed seeds all node-private randomness.
 	Seed int64

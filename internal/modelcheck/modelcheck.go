@@ -104,9 +104,11 @@ type Config struct {
 	// exhaustive over schedules for this one seed.
 	Seed int64
 	// Engine selects the simulator scheduler executing every explored
-	// schedule (see sim.Engine). Both engines enumerate Chooser decision
-	// points identically, so the explored schedule space — and every
-	// verdict — is byte-identical across engines.
+	// schedule (see sim.Engine); tests only — the zero value, the event
+	// engine, is what every caller outside the differential tests uses.
+	// Both engines enumerate Chooser decision points identically, so
+	// the explored schedule space — and every verdict — is
+	// byte-identical across engines.
 	Engine sim.Engine
 	// Depth bounds the non-default choices per schedule (0 =
 	// DefaultDepth). Level d is explored only if levels 0..d-1 found

@@ -31,7 +31,7 @@ func (c *Cell) Pass() bool { return c.Artifact.Verdict.Pass && c.Verify == nil }
 // RunCell runs p on g with a fresh trace recorder of traceCap events
 // and certifies the result: the conformance verdict over the canonical
 // trace plus the problem's correctness oracle, folded into one
-// Artifact. opts carries the caller's seed, engine, transport, metrics
+// Artifact. opts carries the caller's seed, transport, metrics
 // registry and cancel channel; its Trace field is replaced by the
 // cell's recorder. A metered opts.Transport contributes the wire
 // section. It is the one run-and-certify path of the service, of

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -44,33 +45,30 @@ func assertNoLeaks(t *testing.T, before int) {
 }
 
 // TestFaultDeadline: an expired per-request deadline cancels the
-// running cell at a round barrier on both engines — StatusDeadline,
-// no partial artifact, no leaked node programs.
+// running cell at a round barrier — StatusDeadline, no partial
+// artifact, no leaked node programs. (Cancellation on the goroutine
+// reference engine is pinned in internal/core's cancel tests.)
 func TestFaultDeadline(t *testing.T) {
-	for _, engine := range []string{"event", "goroutine"} {
-		t.Run(engine, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			svc := New(Config{Workers: 1})
-			resp := svc.Submit(Request{
-				ID: 1, Problem: "mst/randomized", Graph: "random", N: 512,
-				Seed: 1, Engine: engine, Deadline: time.Nanosecond,
-			})
-			svc.Drain()
-			if resp.Status != StatusDeadline {
-				t.Fatalf("status %v (%s), want deadline", resp.Status, resp.Detail)
-			}
-			if !strings.Contains(resp.Detail, "deadline") {
-				t.Errorf("detail %q does not mention the deadline", resp.Detail)
-			}
-			if len(resp.Artifact) != 0 {
-				t.Error("deadline response carries a partial artifact")
-			}
-			if got := svc.Metrics().Get("service/status/deadline"); got != 1 {
-				t.Errorf("service/status/deadline = %d, want 1", got)
-			}
-			assertNoLeaks(t, before)
-		})
+	before := runtime.NumGoroutine()
+	svc := New(Config{Workers: 1})
+	resp := svc.Submit(Request{
+		ID: 1, Problem: "mst/randomized", Graph: "random", N: 512,
+		Seed: 1, Deadline: time.Nanosecond,
+	})
+	svc.Drain()
+	if resp.Status != StatusDeadline {
+		t.Fatalf("status %v (%s), want deadline", resp.Status, resp.Detail)
 	}
+	if !strings.Contains(resp.Detail, "deadline") {
+		t.Errorf("detail %q does not mention the deadline", resp.Detail)
+	}
+	if len(resp.Artifact) != 0 {
+		t.Error("deadline response carries a partial artifact")
+	}
+	if got := svc.Metrics().Get("service/status/deadline"); got != 1 {
+		t.Errorf("service/status/deadline = %d, want 1", got)
+	}
+	assertNoLeaks(t, before)
 }
 
 // TestFaultDeadlineCountsQueueWait: the deadline clock starts at
@@ -167,6 +165,8 @@ func TestFaultMalformedFrame(t *testing.T) {
 		{"garbage body", append([]byte{4}, 0xde, 0xad, 0xbe, 0xef)},
 		// A response frame where a request belongs.
 		{"wrong kind", mustFrame(Response{ID: 9, Status: StatusOK})},
+		// A request frame that still carries the scheduler-name field.
+		{"engine field", append(binary.AppendUvarint(nil, uint64(len(engineLayoutBody))), engineLayoutBody...)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

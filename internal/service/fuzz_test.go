@@ -21,7 +21,7 @@ import (
 func fuzzSeeds() [][]byte {
 	full := Request{
 		ID: 42, Problem: "mst/randomized", Graph: "sensor", N: 64, M: 128,
-		Rows: 8, Radius: 0.25, Seed: -7, Engine: "goroutine", Transport: "tcp",
+		Rows: 8, Radius: 0.25, Seed: -7, Transport: "tcp",
 		TraceCap: 1 << 16, Deadline: 3 * time.Second, WantTrace: true,
 	}
 	zero := Request{}
@@ -50,6 +50,20 @@ func fuzzSeeds() [][]byte {
 		seeds = append(seeds, respBody) // wrong kind for DecodeRequest
 	}
 	return seeds
+}
+
+// engineLayoutBody is a request frame body in the layout that carried
+// a scheduler name between Seed and Transport (here "goroutine"): the
+// full fuzz seed as the corpus held it before that field was dropped.
+var engineLayoutBody = []byte("PT\x0emst/randomized\x06sensor\x80\x01\x80\x02\x10\x80\x80\x80\x80\x80\x80\x80\xe8?\r\tgoroutine\x03tcp\x80\x80\b\x80\xf8\x82\xad\x16\x01")
+
+// TestDecodeRequestRejectsEngineLayout: a client still sending the
+// scheduler-name field must get an undecodable-frame error, not a
+// request whose later fields were read from the wrong slots.
+func TestDecodeRequestRejectsEngineLayout(t *testing.T) {
+	if req, err := DecodeRequest(engineLayoutBody); err == nil {
+		t.Fatalf("old-layout frame decoded as %+v", req)
+	}
 }
 
 // FuzzDecodeRequest hardens the request decoder the same way

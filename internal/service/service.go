@@ -4,7 +4,7 @@
 // and per-request isolation.
 //
 // One Service owns a sweep.Pool. Every admitted request runs as its
-// own cell — own graph, seed, engine, trace recorder, metrics
+// own cell — own graph, seed, trace recorder, metrics
 // registry, and (optionally) its own wire backend — and produces a
 // JSON Artifact holding the conformance verdict, the run summary, and
 // any wire accounting. Per-request registries are folded into one
@@ -199,11 +199,6 @@ func (s *Service) validate(req *Request) (problem.Problem, string) {
 	if e := requestedEdges(req.Graph, req.N, req.M, req.Radius); e > float64(s.edgeCap()) {
 		return nil, fmt.Sprintf("%s graph asks for %.0f edges, over the admitted edge cap %d", req.Graph, e, s.edgeCap())
 	}
-	if req.Engine != "" {
-		if _, err := sim.ParseEngine(req.Engine); err != nil {
-			return nil, err.Error()
-		}
-	}
 	switch req.Transport {
 	case "", "none", "inproc", "tcp":
 	default:
@@ -263,10 +258,6 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 	if tx != nil {
 		defer tx.Close()
 	}
-	engine := sim.EngineEvent
-	if req.Engine != "" {
-		engine, _ = sim.ParseEngine(req.Engine) // validated at admission
-	}
 	traceCap := req.TraceCap
 	if traceCap == 0 {
 		traceCap = DefaultTraceCap
@@ -274,7 +265,6 @@ func (s *Service) execute(req Request, p problem.Problem, deadline time.Duration
 
 	reg := metrics.New()
 	cell, err := RunCell(p, g, core.Options{
-		Engine:    engine,
 		Seed:      req.Seed,
 		Metrics:   reg,
 		Transport: tx,

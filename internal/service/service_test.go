@@ -20,14 +20,14 @@ import (
 	"sleepmst/internal/transport"
 )
 
-// testMix is a fixed request mix spanning problems, topologies,
-// engines, and backends — the workload both determinism tests replay.
+// testMix is a fixed request mix spanning problems, topologies, and
+// backends — the workload both determinism tests replay.
 func testMix() []Request {
 	return []Request{
 		{ID: 1, Problem: "mst/randomized", Graph: "random", N: 32, Seed: 7},
 		{ID: 2, Problem: "mis", Graph: "ring", N: 48, Seed: 3},
 		{ID: 3, Problem: "mst/baseline", Graph: "grid", N: 25, Seed: 11},
-		{ID: 4, Problem: "mst/randomized", Graph: "path", N: 24, Seed: 5, Engine: "goroutine"},
+		{ID: 4, Problem: "mst/randomized", Graph: "path", N: 24, Seed: 5},
 		{ID: 5, Problem: "mst/ghs", Graph: "complete", N: 12, Seed: 2},
 		{ID: 6, Problem: "randomized", Graph: "random", N: 28, M: 80, Seed: 9}, // bare alias
 		{ID: 7, Problem: "mis", Graph: "grid", N: 36, Seed: 1, WantTrace: true},
@@ -154,7 +154,6 @@ func TestServiceInvalidRequests(t *testing.T) {
 		{"ring n=1", Request{Problem: "mis", Graph: "ring", N: 1}, "ring requires n >= 3"},
 		{"ring n=2", Request{Problem: "mis", Graph: "ring", N: 2}, "ring requires n >= 3"},
 		{"rows over n", Request{Problem: "mis", Graph: "grid", N: 9, Rows: 1 << 40}, "exceeds n"},
-		{"bad engine", Request{Problem: "mis", Graph: "ring", N: 8, Engine: "warp"}, "unknown engine"},
 		{"bad transport", Request{Problem: "mis", Graph: "ring", N: 8, Transport: "udp"}, "unknown transport"},
 		{"nan radius", Request{Problem: "mis", Graph: "sensor", N: 8, Radius: math.NaN()}, "radius"},
 		{"trace cap", Request{Problem: "mis", Graph: "ring", N: 8, TraceCap: DefaultMaxTraceCap + 1}, "trace cap"},

@@ -54,7 +54,7 @@ const (
 	// oracle failed; the artifact holds the failing checks.
 	StatusViolation
 	// StatusInvalid: the request failed validation (unknown problem,
-	// graph kind, engine or transport; out-of-range n, rows, trace cap
+	// graph kind or transport; out-of-range n, rows, trace cap
 	// or deadline; a per-kind topology minimum like ring n >= 3; or a
 	// built graph over the node cap) — or, with BadFrameID, the frame
 	// itself was undecodable.
@@ -100,7 +100,7 @@ func (s Status) String() string {
 
 // Request is one certified-computation request: which problem to run
 // on which topology with which seed, plus the per-request isolation
-// knobs (engine, wire backend, trace capacity, deadline). The zero
+// knobs (wire backend, trace capacity, deadline). The zero
 // value of every optional field means "service default".
 type Request struct {
 	// ID is the client-assigned correlation id echoed in the response.
@@ -120,8 +120,6 @@ type Request struct {
 	Radius float64
 	// Seed seeds topology, weights, and algorithm randomness.
 	Seed int64
-	// Engine selects the scheduler: "", "event", or "goroutine".
-	Engine string
 	// Transport selects the per-request wire backend: "" or "none"
 	// (in-memory), "inproc", or "tcp".
 	Transport string
@@ -165,7 +163,6 @@ func init() {
 			w.Int(int64(q.Rows))
 			w.Uint(math.Float64bits(q.Radius))
 			w.Int(q.Seed)
-			w.Bytes([]byte(q.Engine))
 			w.Bytes([]byte(q.Transport))
 			w.Int(int64(q.TraceCap))
 			w.Int(int64(q.Deadline))
@@ -181,7 +178,6 @@ func init() {
 				Rows:      int(r.Int()),
 				Radius:    math.Float64frombits(r.Uvarint()),
 				Seed:      r.Int(),
-				Engine:    string(r.Bytes()),
 				Transport: string(r.Bytes()),
 				TraceCap:  int(r.Int()),
 				Deadline:  time.Duration(r.Int()),

@@ -2,11 +2,11 @@ package sim
 
 import "fmt"
 
-// Engine selects the scheduler implementation executing a run. Both
-// engines implement the same sleeping-model semantics and are proven
-// equivalent by the differential harness (enginediff tests): on a
-// fixed (graph, seed, program, chaos policy) tuple they produce
-// byte-identical traces, verdicts, and metrics.
+// Engine selects the scheduler implementation executing a run. Every
+// user-facing run uses EngineEvent; EngineGoroutine is selected only
+// by the differential harness (enginediff tests), which proves the two
+// equivalent: on a fixed (graph, seed, program, chaos policy) tuple
+// they produce byte-identical traces, verdicts, and metrics.
 type Engine int
 
 const (
@@ -18,13 +18,13 @@ const (
 	// to 10^6 on one machine.
 	EngineEvent Engine = iota
 	// EngineGoroutine is the legacy scheduler: one goroutine per node
-	// with channel handshakes per awake round. Kept compiled for one
-	// release as the differential-testing reference; it tops out around
-	// n ≈ 10^4 (goroutine stacks and scheduler latency dominate).
+	// with channel handshakes per awake round. Kept compiled only as
+	// the differential-testing reference; it tops out around n ≈ 10^4
+	// (goroutine stacks and scheduler latency dominate).
 	EngineGoroutine
 )
 
-// String returns the CLI spelling of the engine name.
+// String returns the engine's name.
 func (e Engine) String() string {
 	switch e {
 	case EngineEvent:
@@ -33,18 +33,6 @@ func (e Engine) String() string {
 		return "goroutine"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine converts a CLI name into an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "event", "":
-		return EngineEvent, nil
-	case "goroutine":
-		return EngineGoroutine, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown engine %q (want event|goroutine)", s)
 	}
 }
 

@@ -265,25 +265,14 @@ func TestEngineDiffFailurePaths(t *testing.T) {
 	}
 }
 
-// TestEngineParse pins the CLI spellings.
-func TestEngineParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"event", EngineEvent, true},
-		{"", EngineEvent, true},
-		{"goroutine", EngineGoroutine, true},
-		{"threads", 0, false},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
+// TestEngineNames pins the engine names the differential tests log
+// and the validity check Run applies to Config.Engine.
+func TestEngineNames(t *testing.T) {
 	if EngineEvent.String() != "event" || EngineGoroutine.String() != "goroutine" {
 		t.Errorf("String spellings drifted: %q %q", EngineEvent, EngineGoroutine)
+	}
+	if !EngineEvent.valid() || !EngineGoroutine.valid() {
+		t.Error("compiled engines must be valid")
 	}
 	if bad := Engine(42); bad.valid() {
 		t.Error("Engine(42) must be invalid")

@@ -15,10 +15,12 @@
 // coroutine continuations on the scheduler's own thread, resumed and
 // parked without channel handshakes, with per-round work queues that
 // visit only awake nodes and per-port message slots reused every round
-// — the engine that reaches n = 10^5–10^6 on one machine. The legacy goroutine engine
-// (one goroutine per node, channel handshakes per awake round) stays
-// compiled behind Config.Engine as the differential-testing reference;
-// both engines are bit-for-bit equivalent on fixed seeds.
+// — the engine that reaches n = 10^5–10^6 on one machine. It is the
+// only engine any CLI, the service or the public API runs. The legacy
+// goroutine engine (one goroutine per node, channel handshakes per
+// awake round) stays compiled behind Config.Engine only as the
+// differential-testing reference; both engines are bit-for-bit
+// equivalent on fixed seeds.
 //
 // Semantics, matching the paper: rounds are numbered from 1 and all
 // nodes are initially awake; a node awake in round r sends at the start
@@ -142,10 +144,12 @@ type Program func(nd *Node) error
 type Config struct {
 	// Graph is the network. Required.
 	Graph *graph.Graph
-	// Engine selects the scheduler implementation. The zero value is
-	// EngineEvent, the goroutine-free event-driven core; EngineGoroutine
-	// selects the legacy one-goroutine-per-node scheduler. Both produce
-	// byte-identical traces, verdicts, and metrics on fixed seeds.
+	// Engine selects the scheduler implementation; tests only. The
+	// zero value is EngineEvent, the goroutine-free event-driven core,
+	// which every user-facing run uses; the differential tests set
+	// EngineGoroutine, the legacy one-goroutine-per-node scheduler.
+	// Both produce byte-identical traces, verdicts, and metrics on
+	// fixed seeds.
 	Engine Engine
 	// Seed seeds the per-node private randomness.
 	Seed int64

@@ -21,6 +21,7 @@ import (
 	"sleepmst/internal/conform"
 	"sleepmst/internal/core"
 	"sleepmst/internal/problem"
+	"sleepmst/internal/sim"
 	"sleepmst/internal/trace"
 )
 
@@ -51,7 +52,7 @@ func scaleN(t *testing.T, def int) int {
 func TestScaleRandomizedMST(t *testing.T) {
 	n := scaleN(t, 4096)
 	g := RandomConnected(n, 3*n, int64(n))
-	rep, err := Run(Randomized, g, Options{Seed: 1, Engine: EngineEvent})
+	rep, err := Run(Randomized, g, Options{Seed: 1})
 	if err != nil {
 		t.Fatalf("n=%d: %v", n, err)
 	}
@@ -80,7 +81,7 @@ func TestScaleMIS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Run(g, core.Options{Seed: 1, Engine: EngineEvent})
+	r, err := p.Run(g, core.Options{Seed: 1})
 	if err != nil {
 		t.Fatalf("n=%d: %v", n, err)
 	}
@@ -120,7 +121,7 @@ func TestScaleConformStrict(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := trace.NewRecorder(0)
-			r, err := p.Run(g, core.Options{Seed: 1, Engine: EngineEvent, Trace: rec})
+			r, err := p.Run(g, core.Options{Seed: 1, Trace: rec})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -155,7 +156,7 @@ func TestScaleEngineThroughputGap(t *testing.T) {
 		n = 16384 // keep the goroutine leg bounded
 	}
 	g := Ring(n, 1)
-	elapsed := func(e Engine) time.Duration {
+	elapsed := func(e sim.Engine) time.Duration {
 		// Best of three: absorbs GC and scheduler noise so the
 		// assertion is about the engines, not the machine.
 		best := time.Duration(1<<63 - 1)
@@ -170,8 +171,8 @@ func TestScaleEngineThroughputGap(t *testing.T) {
 		}
 		return best
 	}
-	gor := elapsed(EngineGoroutine)
-	evt := elapsed(EngineEvent)
+	gor := elapsed(sim.EngineGoroutine)
+	evt := elapsed(sim.EngineEvent)
 	t.Logf("n=%d leader election: goroutine %v event %v (%.2fx)",
 		n, gor.Round(time.Millisecond), evt.Round(time.Millisecond),
 		float64(gor)/float64(evt))

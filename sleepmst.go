@@ -56,21 +56,6 @@ type GRC = graph.GRC
 // Options configures an algorithm run.
 type Options = core.Options
 
-// Engine selects the simulator's scheduler implementation (see
-// sim.Engine): the default goroutine-free event engine or the legacy
-// goroutine engine. Both are byte-identical on fixed seeds.
-type Engine = sim.Engine
-
-// The compiled engines. EngineEvent (the zero value) is the default.
-const (
-	EngineEvent     = sim.EngineEvent
-	EngineGoroutine = sim.EngineGoroutine
-)
-
-// ParseEngine converts a CLI engine name ("event", "goroutine") into
-// an Engine.
-func ParseEngine(s string) (Engine, error) { return sim.ParseEngine(s) }
-
 // Outcome is the detailed result of a run (MST edges, metrics, phases).
 type Outcome = core.Outcome
 
@@ -623,7 +608,7 @@ func ParseTransport(s string) (Transport, error) {
 
 // Service is the persistent concurrent MST service: a request
 // scheduler over a bounded worker pool with explicit admission
-// control, per-request isolation (seed, engine, transport, trace,
+// control, per-request isolation (seed, transport, trace,
 // deadline), and a deterministic merged metrics registry. See
 // internal/service and DESIGN.md §14.
 type Service = service.Service

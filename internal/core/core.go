@@ -88,9 +88,10 @@ type Options struct {
 	Cancel <-chan struct{}
 }
 
-// simConfig translates the option fields shared with the simulator
-// into a sim.Config for graph g.
-func (o Options) simConfig(g *graph.Graph) sim.Config {
+// SimConfig translates the option fields shared with the simulator
+// into a sim.Config for graph g. It is the one such translation: every
+// runner in this package and in internal/problem starts its run here.
+func (o Options) SimConfig(g *graph.Graph) sim.Config {
 	return sim.Config{
 		Graph:             g,
 		Engine:            o.Engine,
@@ -216,49 +217,4 @@ func finishOutcome(g *graph.Graph, states []*ldt.State, res *sim.Result, phases 
 		return out, errors.New("core: output is not a spanning tree")
 	}
 	return out, nil
-}
-
-// phaseRecorder collects fragment IDs per phase without data races:
-// each node writes only its own column.
-type phaseRecorder struct {
-	enabled bool
-	frags   [][]int64 // frags[phase][node]
-	n       int
-}
-
-func newPhaseRecorder(enabled bool, n, maxPhases int) *phaseRecorder {
-	pr := &phaseRecorder{enabled: enabled, n: n}
-	if enabled {
-		pr.frags = make([][]int64, maxPhases)
-		for i := range pr.frags {
-			pr.frags[i] = make([]int64, n)
-		}
-	}
-	return pr
-}
-
-func (pr *phaseRecorder) record(phase, node int, fragID int64) {
-	if pr.enabled && phase < len(pr.frags) {
-		pr.frags[phase][node] = fragID
-	}
-}
-
-// counts returns the fragment count per executed phase. Nodes that
-// halted before a phase keep fragment ID 0 in that row; rows that are
-// entirely zero (never reached) are dropped.
-func (pr *phaseRecorder) counts(executed int) []int {
-	if !pr.enabled {
-		return nil
-	}
-	var out []int
-	for p := 0; p < executed && p < len(pr.frags); p++ {
-		set := make(map[int64]bool)
-		for _, f := range pr.frags[p] {
-			if f != 0 {
-				set[f] = true
-			}
-		}
-		out = append(out, len(set))
-	}
-	return out
 }

@@ -191,7 +191,7 @@ func (c *nodeCtx) supergraphStep(bs func(int64) int64) (supergraph, bool) {
 		}
 	}
 	ph := c.broadcastMOE(bs(dbBcastMOE), rootMsg)
-	c.stepDone(trace.StepFindMOE)
+	c.steps.StepDone(trace.StepFindMOE)
 	if !ph.exists {
 		return supergraph{}, false
 	}
@@ -206,7 +206,7 @@ func (c *nodeCtx) supergraphStep(bs func(int64) int64) (supergraph, bool) {
 		out[p] = taMOEMsg{fragID: c.st.FragID, isMOE: owner && p == ph.moe.ownerPort}
 	}
 	in := ldt.TransmitAdjacent(c.nd, bs(dbTAMOE), out)
-	c.stepDone(trace.StepMarkMOE)
+	c.steps.StepDone(trace.StepMarkMOE)
 	var incomingPorts []int
 	incFrag := make(map[int]int64)
 	for p, raw := range in {
@@ -296,7 +296,7 @@ func (c *nodeCtx) supergraphStep(bs func(int64) int64) (supergraph, bool) {
 			myEntries = append(myEntries, nbrEntry{fragID: incFrag[p], hostID: c.nd.ID(), hostPort: p})
 		}
 	}
-	c.stepDone(trace.StepValidate)
+	c.steps.StepDone(trace.StepValidate)
 
 	// Collect the fragment's supergraph adjacency (NBR-INFO) at the
 	// root and broadcast it to every member.
@@ -316,9 +316,9 @@ func (c *nodeCtx) supergraphStep(bs func(int64) int64) (supergraph, bool) {
 	}
 	sg.nbrInfo = ldt.Broadcast(c.nd, c.st, bs(dbBcastNbr), bcastPayload).(nbrList)
 	if c.st.IsRoot() {
-		c.nd.EmitNbrs(c.phase, len(sg.nbrInfo))
+		c.nd.EmitNbrs(c.steps.phase, len(sg.nbrInfo))
 	}
-	c.stepDone(trace.StepNbrInfo)
+	c.steps.StepDone(trace.StepNbrInfo)
 	if owner {
 		sg.ownerPort = ph.moe.ownerPort
 		sg.inAccepted = validIn[sg.ownerPort]
@@ -330,33 +330,37 @@ func (c *nodeCtx) supergraphStep(bs func(int64) int64) (supergraph, bool) {
 // fragment spans the graph.
 func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 	bs := func(b int64) int64 { return phaseStart + b*c.blk }
-	maxID := c.nd.MaxID()
 
 	// --- Step (i): find the fragment MOE and the supergraph -----------
 	sg, ok := c.supergraphStep(bs)
 	if !ok {
 		return true
 	}
-	nbrInfo := sg.nbrInfo
 
-	// --- Step (ii): Fast-Awake-Coloring over N ID stages ----------------
-	myColor, _ := c.fastAwakeColoring(bs, nbrInfo)
-	c.stepDone(trace.StepColoring)
+	// --- Step (ii): Fast-Awake-Coloring over N ID stages, then merge ---
+	myColor, _ := c.fastAwakeColoring(bs, sg.nbrInfo)
+	c.steps.StepDone(trace.StepColoring)
+	c.mergeByColor(bs, int64(dbColorBase)+stageBlocks*c.nd.MaxID(), sg, myColor)
+	return false
+}
 
+// mergeByColor is the merge tail shared by Deterministic-MST and the
+// log* variant, run once the fragment knows its palette color. It
+// occupies postColorSpan blocks from block base.
+func (c *nodeCtx) mergeByColor(bs func(int64) int64, base int64, sg supergraph, myColor Color) {
 	// Pass 1: Blue fragments with supergraph neighbors merge into an
 	// arbitrary (non-Blue) neighbor.
-	mergeBase := int64(dbColorBase) + stageBlocks*maxID
 	var cmdPayload interface{}
 	if c.st.IsRoot() {
 		cmd := mergeCmd{}
-		if myColor == Blue && len(nbrInfo) > 0 {
-			e := nbrInfo[0] // deterministic arbitrary choice
+		if myColor == Blue && len(sg.nbrInfo) > 0 {
+			e := sg.nbrInfo[0] // deterministic arbitrary choice
 			cmd = mergeCmd{merging: true, hostID: e.hostID, hostPort: e.hostPort}
 		}
 		cmdPayload = cmd
 	}
-	cmd := ldt.Broadcast(c.nd, c.st, bs(mergeBase+postColor1), cmdPayload).(mergeCmd)
-	c.stepDone(trace.StepDecide)
+	cmd := ldt.Broadcast(c.nd, c.st, bs(base+postColor1), cmdPayload).(mergeCmd)
+	c.steps.StepDone(trace.StepDecide)
 	dec := ldt.NoMerge
 	if cmd.merging {
 		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
@@ -364,21 +368,20 @@ func (c *nodeCtx) detPhase(phaseStart int64) (done bool) {
 			dec.AttachPort = cmd.hostPort
 		}
 	}
-	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+postColorM1), dec)
+	ldt.MergingFragments(c.nd, c.st, bs(base+postColorM1), dec)
 
 	// Pass 2: Blue singleton fragments (no supergraph neighbors) merge
 	// along their original MOE. The decision is fragment-wide knowledge,
 	// so no extra broadcast is needed.
 	dec = ldt.NoMerge
-	if myColor == Blue && len(nbrInfo) == 0 {
+	if myColor == Blue && len(sg.nbrInfo) == 0 {
 		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
 		if sg.owner {
 			dec.AttachPort = sg.ownerPort
 		}
 	}
-	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+postColorM2), dec)
-	c.stepDone(trace.StepMerge)
-	return false
+	ldt.MergingFragments(c.nd, c.st, bs(base+postColorM2), dec)
+	c.steps.StepDone(trace.StepMerge)
 }
 
 // fastAwakeColoring runs the N-stage coloring (§2.3): in stage i, the
@@ -489,44 +492,13 @@ func (c *nodeCtx) fastAwakeColoring(bs func(int64) int64, nbrInfo nbrList) (Colo
 // awake complexity and O(nN log n) rounds, where N is the largest node
 // ID (which all nodes are assumed to know).
 func RunDeterministic(g *graph.Graph, opts Options) (*Outcome, error) {
-	if err := checkInput(g); err != nil {
-		return nil, err
-	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = DeterministicPhaseBound(g.N())
-	}
-	budget, err := opts.acceptBudget()
-	if err != nil {
-		return nil, err
-	}
-	states := ldt.SingletonStates(g)
-	rec := newPhaseRecorder(opts.RecordPhases, g.N(), maxPhases)
-	phasesRun := make([]int, g.N())
+	return deterministicMST.run(g, opts, nil)
+}
 
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		c.acceptBudget = budget
-		phaseLen := detPhaseBlocks(nd.MaxID()) * c.blk
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			done := c.detPhase(1 + int64(p)*phaseLen)
-			rec.record(p, nd.Index(), c.st.FragID)
-			phasesRun[nd.Index()] = p + 1
-			if done {
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	maxP := 0
-	for _, p := range phasesRun {
-		if p > maxP {
-			maxP = p
-		}
-	}
-	return finishOutcome(g, states, res, maxP, rec.counts(maxP))
+// deterministicMST is Deterministic-MST's phase driver.
+var deterministicMST = phaseDriver{
+	bound:  DeterministicPhaseBound,
+	accept: true,
+	blocks: detPhaseBlocks,
+	phase:  (*nodeCtx).detPhase,
 }

@@ -151,7 +151,7 @@ func RunClassicGHS(g *graph.Graph, opts Options) (*Outcome, error) {
 	}
 	outs := make([]nodeOut, n)
 
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
+	res, err := sim.Run(opts.SimConfig(g), func(nd *sim.Node) error {
 		gn := &ghsNode{
 			nd:       nd,
 			fragID:   nd.ID(),

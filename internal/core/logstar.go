@@ -109,8 +109,8 @@ func (parentInfo) MsgKind() string { return "cv-parent" }
 func logStarBlocks(maxID int64) int64 {
 	k := int64(CVIterations(maxID))
 	// 9 step-(i) blocks, 2 orientation blocks, 3 per CV iteration,
-	// 4 per mini-stage (8 stages), then 1+3+3 merge blocks.
-	return 9 + 2 + 3*k + 4*cvMaxColors + 7
+	// 4 per mini-stage (8 stages), then the 1+3+3-block merge tail.
+	return 9 + 2 + 3*k + 4*cvMaxColors + postColorSpan
 }
 
 // logStarColoring produces the 5-color priority palette for this
@@ -355,42 +355,11 @@ func (c *nodeCtx) logStarPhase(phaseStart int64) (done bool) {
 	if !ok {
 		return true
 	}
-	nbrInfo := sg.nbrInfo
 
 	// --- Step (ii): log* coloring + merging -----------------------------
-	myColor := c.logStarColoring(bs, nbrInfo, sg.owner, sg.ownerPort, sg.outAccepted, sg.mutualMOE, sg.inAccepted)
-	c.stepDone(trace.StepColoring)
-
-	mergeBase := logStarBlocks(c.nd.MaxID()) - 7
-	var cmdPayload interface{}
-	if c.st.IsRoot() {
-		cmd := mergeCmd{}
-		if myColor == Blue && len(nbrInfo) > 0 {
-			e := nbrInfo[0]
-			cmd = mergeCmd{merging: true, hostID: e.hostID, hostPort: e.hostPort}
-		}
-		cmdPayload = cmd
-	}
-	cmd := ldt.Broadcast(c.nd, c.st, bs(mergeBase), cmdPayload).(mergeCmd)
-	c.stepDone(trace.StepDecide)
-	dec := ldt.NoMerge
-	if cmd.merging {
-		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
-		if cmd.hostID == c.nd.ID() {
-			dec.AttachPort = cmd.hostPort
-		}
-	}
-	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+1), dec)
-
-	dec = ldt.NoMerge
-	if myColor == Blue && len(nbrInfo) == 0 {
-		dec = ldt.MergeDecision{Merging: true, AttachPort: -1}
-		if sg.owner {
-			dec.AttachPort = sg.ownerPort
-		}
-	}
-	ldt.MergingFragments(c.nd, c.st, bs(mergeBase+4), dec)
-	c.stepDone(trace.StepMerge)
+	myColor := c.logStarColoring(bs, sg.nbrInfo, sg.owner, sg.ownerPort, sg.outAccepted, sg.mutualMOE, sg.inAccepted)
+	c.steps.StepDone(trace.StepColoring)
+	c.mergeByColor(bs, logStarBlocks(c.nd.MaxID())-postColorSpan, sg, myColor)
 	return false
 }
 
@@ -398,44 +367,13 @@ func (c *nodeCtx) logStarPhase(phaseStart int64) (done bool) {
 // complexity and O(n log n log* n) rounds, independent of the ID
 // space size.
 func RunLogStar(g *graph.Graph, opts Options) (*Outcome, error) {
-	if err := checkInput(g); err != nil {
-		return nil, err
-	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = DeterministicPhaseBound(g.N())
-	}
-	budget, err := opts.acceptBudget()
-	if err != nil {
-		return nil, err
-	}
-	states := ldt.SingletonStates(g)
-	rec := newPhaseRecorder(opts.RecordPhases, g.N(), maxPhases)
-	phasesRun := make([]int, g.N())
+	return logStarMST.run(g, opts, nil)
+}
 
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		c.acceptBudget = budget
-		phaseLen := logStarBlocks(nd.MaxID()) * c.blk
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			done := c.logStarPhase(1 + int64(p)*phaseLen)
-			rec.record(p, nd.Index(), c.st.FragID)
-			phasesRun[nd.Index()] = p + 1
-			if done {
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	maxP := 0
-	for _, p := range phasesRun {
-		if p > maxP {
-			maxP = p
-		}
-	}
-	return finishOutcome(g, states, res, maxP, rec.counts(maxP))
+// logStarMST is the Corollary 1 variant's phase driver.
+var logStarMST = phaseDriver{
+	bound:  DeterministicPhaseBound,
+	accept: true,
+	blocks: logStarBlocks,
+	phase:  (*nodeCtx).logStarPhase,
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
-	"sleepmst/internal/metrics"
 	"sleepmst/internal/sim"
-	"sleepmst/internal/trace"
 )
 
 // nodeCtx bundles the per-node execution state shared by the
@@ -20,11 +18,8 @@ type nodeCtx struct {
 	// cap (the paper's 3; configurable for ablations).
 	acceptBudget int64
 
-	// phase and stepAwake drive the observability attribution: phase is
-	// the current 1-based phase, stepAwake the node's awake count when
-	// the current step began (see beginPhase / stepDone).
-	phase     int
-	stepAwake int64
+	// steps attributes the node's awake rounds to phase steps.
+	steps StepClock
 
 	nbrFragID []int64 // per port, as of the last fragment TA
 	nbrLevel  []int
@@ -39,6 +34,7 @@ func newNodeCtx(nd *sim.Node, st *ldt.State) *nodeCtx {
 		n:            nd.N(),
 		blk:          ldt.BlockLen(nd.N()),
 		acceptBudget: MaxValidIncomingMOEs,
+		steps:        NewStepClock(nd),
 		nbrFragID:    make([]int64, deg),
 		nbrLevel:     make([]int, deg),
 		nbrID:        make([]int64, deg),
@@ -48,33 +44,6 @@ func newNodeCtx(nd *sim.Node, st *ldt.State) *nodeCtx {
 		c.nbrID[i] = -1
 	}
 	return c
-}
-
-// beginPhase marks the start of 1-based phase p for trace/metrics
-// attribution. Both sinks are nil-safe, so callers never branch.
-func (c *nodeCtx) beginPhase(p int) {
-	c.phase = p
-	c.nd.EmitPhase(p, c.st.FragID)
-	c.stepAwake = c.nd.AwakeCount()
-}
-
-// stepDone attributes the awake rounds spent since the previous
-// stepDone (or beginPhase) to the given step: one trace event plus the
-// awake/step/<step> and awake/phase/<NNN> counters. Steps a node slept
-// through entirely are skipped to keep the event volume proportional
-// to awake work.
-func (c *nodeCtx) stepDone(step trace.Step) {
-	aw := c.nd.AwakeCount()
-	d := aw - c.stepAwake
-	c.stepAwake = aw
-	if d == 0 {
-		return
-	}
-	c.nd.EmitStep(c.phase, step, d)
-	if m := c.nd.Metrics(); m != nil {
-		m.Add(metrics.StepName(step.String()), d)
-		m.Add(metrics.PhaseName(c.phase), d)
-	}
 }
 
 // taFragMsg announces (ID, fragment, level) to all neighbors.

@@ -81,57 +81,36 @@ func AggregateMin(g *graph.Graph, values []int64, opts Options) (*AggregateResul
 	if len(values) != g.N() {
 		return nil, fmt.Errorf("core: %d values for %d nodes", len(values), g.N())
 	}
-	if err := checkInput(g); err != nil {
-		return nil, err
-	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = RandomizedPhaseBound(g.N())
-	}
-	states := ldt.SingletonStates(g)
 	perNode := make([]int64, g.N())
-	phasesRun := make([]int, g.N())
-
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		blkPerPhase := int64(randPhaseBlocks) * c.blk
-		donePhase := -1
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			if c.randPhase(1 + int64(p)*blkPerPhase) {
-				donePhase = p
-				break
-			}
-		}
-		if donePhase < 0 {
+	out, err := randomizedMST.run(g, opts, func(c *nodeCtx, epi int64, done bool) error {
+		if !done {
 			return errors.New("mst construction did not converge")
 		}
-		phasesRun[nd.Index()] = donePhase + 1
 		// Epilogue: all nodes finished in the same phase (the spanning
 		// fragment detects termination globally), so two more blocks at
 		// a globally known offset complete the aggregation.
-		epi := 1 + int64(donePhase+1)*blkPerPhase
-		mine := &ldt.MinItem{Key: graph.WeightKey{W: values[nd.Index()]}, Payload: intPayload(values[nd.Index()])}
+		v := values[c.nd.Index()]
+		mine := &ldt.MinItem{Key: graph.WeightKey{W: v}, Payload: intPayload(v)}
 		rootMin := ldt.UpcastMin(c.nd, c.st, epi, mine)
 		var payload interface{}
 		if c.st.IsRoot() {
 			payload = intPayload(rootMin.Key.W)
 		}
 		got := ldt.Broadcast(c.nd, c.st, epi+c.blk, payload).(intPayload)
-		perNode[nd.Index()] = int64(got)
+		perNode[c.nd.Index()] = int64(got)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &AggregateResult{PerNode: perNode, Result: res, Phases: phasesRun[0]}
-	out.Value = perNode[0]
+	res := &AggregateResult{PerNode: perNode, Result: out.Result, Phases: out.Phases}
+	res.Value = perNode[0]
 	for v, x := range perNode {
-		if x != out.Value {
-			return nil, fmt.Errorf("core: aggregation disagreement at node %d: %d vs %d", v, x, out.Value)
+		if x != res.Value {
+			return nil, fmt.Errorf("core: aggregation disagreement at node %d: %d vs %d", v, x, res.Value)
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // BroadcastFrom delivers the value held by the source node to every
@@ -141,33 +120,13 @@ func BroadcastFrom(g *graph.Graph, source int, value int64, opts Options) (*Aggr
 	if source < 0 || source >= g.N() {
 		return nil, fmt.Errorf("core: source %d out of range", source)
 	}
-	if err := checkInput(g); err != nil {
-		return nil, err
-	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = RandomizedPhaseBound(g.N())
-	}
-	states := ldt.SingletonStates(g)
 	perNode := make([]int64, g.N())
-
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		blkPerPhase := int64(randPhaseBlocks) * c.blk
-		donePhase := -1
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			if c.randPhase(1 + int64(p)*blkPerPhase) {
-				donePhase = p
-				break
-			}
-		}
-		if donePhase < 0 {
+	out, err := randomizedMST.run(g, opts, func(c *nodeCtx, epi int64, done bool) error {
+		if !done {
 			return errors.New("mst construction did not converge")
 		}
-		epi := 1 + int64(donePhase+1)*blkPerPhase
 		var mine interface{}
-		if nd.Index() == source {
+		if c.nd.Index() == source {
 			mine = intPayload(value)
 		}
 		rootGot := c.upcastFirst(epi, mine)
@@ -179,17 +138,17 @@ func BroadcastFrom(g *graph.Graph, source int, value int64, opts Options) (*Aggr
 			payload = rootGot
 		}
 		got := ldt.Broadcast(c.nd, c.st, epi+c.blk, payload).(intPayload)
-		perNode[nd.Index()] = int64(got)
+		perNode[c.nd.Index()] = int64(got)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &AggregateResult{PerNode: perNode, Result: res, Value: perNode[0]}
+	res := &AggregateResult{PerNode: perNode, Result: out.Result, Value: perNode[0]}
 	for v, x := range perNode {
 		if x != value {
 			return nil, fmt.Errorf("core: broadcast failed at node %d: got %d want %d", v, x, value)
 		}
 	}
-	return out, nil
+	return res, nil
 }

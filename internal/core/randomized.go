@@ -3,7 +3,6 @@ package core
 import (
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
-	"sleepmst/internal/sim"
 	"sleepmst/internal/trace"
 )
 
@@ -51,7 +50,7 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 		}
 	}
 	ph := c.broadcastMOE(bs(rbBcastMOE), rootMsg)
-	c.stepDone(trace.StepFindMOE)
+	c.steps.StepDone(trace.StepFindMOE)
 	if !ph.exists {
 		// No outgoing edge: the fragment spans the (connected) graph.
 		return true
@@ -69,7 +68,7 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 		}
 	}
 	in := ldt.TransmitAdjacent(c.nd, bs(rbTAMOE), out)
-	c.stepDone(trace.StepMarkMOE)
+	c.steps.StepDone(trace.StepMarkMOE)
 
 	var validUp interface{}
 	if owner {
@@ -81,7 +80,7 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 		validUp = boolPayload(valid)
 	}
 	rootValid := c.upcastFirst(bs(rbUpValid), validUp)
-	c.stepDone(trace.StepValidate)
+	c.steps.StepDone(trace.StepValidate)
 
 	var mergePayload interface{}
 	if c.st.IsRoot() {
@@ -89,7 +88,7 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 		mergePayload = boolPayload(merging)
 	}
 	merging := bool(ldt.Broadcast(c.nd, c.st, bs(rbBcastMerge), mergePayload).(boolPayload))
-	c.stepDone(trace.StepDecide)
+	c.steps.StepDone(trace.StepDecide)
 
 	// Step (ii): merge along valid MOEs.
 	dec := ldt.NoMerge
@@ -100,7 +99,7 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 		}
 	}
 	ldt.MergingFragments(c.nd, c.st, bs(rbMergeStart), dec)
-	c.stepDone(trace.StepMerge)
+	c.steps.StepDone(trace.StepMerge)
 	return false
 }
 
@@ -108,39 +107,12 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 // complexity w.h.p. and O(n log n) rounds. The returned outcome's
 // MSTEdges is the unique MST of g.
 func RunRandomized(g *graph.Graph, opts Options) (*Outcome, error) {
-	if err := checkInput(g); err != nil {
-		return nil, err
-	}
-	maxPhases := opts.MaxPhases
-	if maxPhases <= 0 {
-		maxPhases = RandomizedPhaseBound(g.N())
-	}
-	states := ldt.SingletonStates(g)
-	rec := newPhaseRecorder(opts.RecordPhases, g.N(), maxPhases)
-	phasesRun := make([]int, g.N())
+	return randomizedMST.run(g, opts, nil)
+}
 
-	res, err := sim.Run(opts.simConfig(g), func(nd *sim.Node) error {
-		c := newNodeCtx(nd, states[nd.Index()])
-		blkPerPhase := int64(randPhaseBlocks) * c.blk
-		for p := 0; p < maxPhases; p++ {
-			c.beginPhase(p + 1)
-			done := c.randPhase(1 + int64(p)*blkPerPhase)
-			rec.record(p, nd.Index(), c.st.FragID)
-			phasesRun[nd.Index()] = p + 1
-			if done {
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	maxP := 0
-	for _, p := range phasesRun {
-		if p > maxP {
-			maxP = p
-		}
-	}
-	return finishOutcome(g, states, res, maxP, rec.counts(maxP))
+// randomizedMST is Randomized-MST's phase driver.
+var randomizedMST = phaseDriver{
+	bound:  RandomizedPhaseBound,
+	blocks: func(int64) int64 { return randPhaseBlocks },
+	phase:  (*nodeCtx).randPhase,
 }

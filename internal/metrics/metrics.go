@@ -189,10 +189,26 @@ func (r *Registry) String() string {
 
 // PhaseName returns the canonical zero-padded awake/phase/<NNN>
 // metric name for 1-based phase p, so lexicographic snapshot order
-// matches numeric phase order.
+// matches numeric phase order. Every awake step of every node asks for
+// one, so the names of the phases any algorithm reaches at admitted
+// sizes come from a table; later phases are formatted.
 func PhaseName(p int) string {
-	return fmt.Sprintf("awake/phase/%03d", p)
+	if p >= 0 && p < len(phaseNames) {
+		return phaseNames[p]
+	}
+	return formatPhaseName(p)
 }
+
+// phaseNames caches PhaseName(0..255). Randomized-MST's phase bound
+// stays below 256 up to n ≈ 7·10^7.
+var phaseNames = func() (t [256]string) {
+	for p := range t {
+		t[p] = formatPhaseName(p)
+	}
+	return t
+}()
+
+func formatPhaseName(p int) string { return fmt.Sprintf("awake/phase/%03d", p) }
 
 // StepName returns the canonical awake/step/<step> metric name.
 func StepName(step string) string {

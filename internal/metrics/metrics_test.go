@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -110,5 +111,15 @@ func TestCanonicalNames(t *testing.T) {
 	}
 	if MsgName("wire") != "msgs/type/wire" {
 		t.Errorf("MsgName = %q", MsgName("wire"))
+	}
+}
+
+// TestPhaseNameTable pins the table-served names to the formatted
+// ones on both sides of the table's end, negative phases included.
+func TestPhaseNameTable(t *testing.T) {
+	for p := -3; p < 1200; p++ {
+		if got, want := PhaseName(p), fmt.Sprintf("awake/phase/%03d", p); got != want {
+			t.Fatalf("PhaseName(%d) = %q, want %q", p, got, want)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sleepmst/internal/core"
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
-	"sleepmst/internal/metrics"
 	"sleepmst/internal/sim"
 	"sleepmst/internal/trace"
 )
@@ -162,44 +161,14 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 	L, P := misPhases(n)
 	inMIS := make([]bool, n) // each node writes only its own index
 
-	cfg := sim.Config{
-		Graph:             g,
-		Engine:            opts.Engine,
-		Seed:              opts.Seed,
-		BitCap:            opts.BitCap,
-		AwakeBudget:       opts.AwakeBudget,
-		RecordAwakeRounds: opts.RecordAwakeRounds,
-		Interceptor:       opts.Interceptor,
-		Chooser:           opts.Chooser,
-		Trace:             opts.Trace,
-		Metrics:           opts.Metrics,
-		Transport:         opts.Transport,
-		Cancel:            opts.Cancel,
-	}
-	res, err := sim.Run(cfg, func(nd *sim.Node) error {
+	res, err := sim.Run(opts.SimConfig(g), func(nd *sim.Node) error {
 		id := nd.ID()
 		state := misUndecided
-
-		// stepDone attributes the awake rounds spent since the last
-		// call to one step, keeping the attributed==charged identity
-		// the conformance checker verifies.
-		stepAwake := int64(0)
-		stepDone := func(phase int, step trace.Step) {
-			d := nd.AwakeCount() - stepAwake
-			stepAwake = nd.AwakeCount()
-			if d == 0 {
-				return
-			}
-			nd.EmitStep(phase, step, d)
-			if m := nd.Metrics(); m != nil {
-				m.Add(metrics.StepName(step.String()), d)
-				m.Add(metrics.PhaseName(phase), d)
-			}
-		}
+		steps := core.NewStepClock(nd)
 
 		// Stage 1: sparsify. Phase i occupies rounds 2i-1 and 2i.
 		for i := 1; i <= P && state == misUndecided; i++ {
-			nd.EmitPhase(i, 0)
+			steps.BeginPhase(i, 0)
 			nd.SleepUntil(int64(2*i - 1))
 			prob := math.Exp2(-float64(L) / float64(int64(1)<<uint(i)))
 			candidate := nd.Rand().Float64() < prob
@@ -241,12 +210,12 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 					}
 				}
 			}
-			stepDone(i, trace.StepMISSample)
+			steps.StepDone(trace.StepMISSample)
 		}
 
 		// Stage 2: cleanup of the residual graph.
 		if state == misUndecided {
-			nd.EmitPhase(P+1, 0)
+			steps.BeginPhase(P+1, 0)
 			sync := int64(2*P + 1)
 			nd.SleepUntil(sync)
 			out := nd.Outbox()
@@ -283,7 +252,7 @@ func RunMIS(g *graph.Graph, opts core.Options) (*Result, error) {
 				nd.Exchange(announce)
 				state = misIn
 			}
-			stepDone(P+1, trace.StepMISCleanup)
+			steps.StepDone(trace.StepMISCleanup)
 		}
 
 		inMIS[nd.Index()] = state == misIn

@@ -39,7 +39,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s drifted (%d vs %d bytes); run with UPDATE_GOLDEN=1 if the change is intended.\ngot:\n%.2000s", name, len(got), len(want), got)
+		t.Fatalf("%s drifted (%d vs %d bytes); run with UPDATE_GOLDEN=1 if the change is intended", name, len(got), len(want))
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 type nodeCtx struct {
 	nd  *sim.Node
 	st  *ldt.State
-	n   int
 	blk int64
 	// acceptBudget is the deterministic algorithms' valid-incoming-MOE
 	// cap (the paper's 3; configurable for ablations).
@@ -31,7 +30,6 @@ func newNodeCtx(nd *sim.Node, st *ldt.State) *nodeCtx {
 	c := &nodeCtx{
 		nd:           nd,
 		st:           st,
-		n:            nd.N(),
 		blk:          ldt.BlockLen(nd.N()),
 		acceptBudget: MaxValidIncomingMOEs,
 		steps:        NewStepClock(nd),

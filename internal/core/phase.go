@@ -86,11 +86,10 @@ func (d phaseDriver) run(g *graph.Graph, opts Options, after func(c *nodeCtx, ne
 type phaseRecorder struct {
 	enabled bool
 	frags   [][]int64 // frags[phase][node]
-	n       int
 }
 
 func newPhaseRecorder(enabled bool, n, maxPhases int) *phaseRecorder {
-	pr := &phaseRecorder{enabled: enabled, n: n}
+	pr := &phaseRecorder{enabled: enabled}
 	if enabled {
 		pr.frags = make([][]int64, maxPhases)
 		for i := range pr.frags {
@@ -163,22 +162,7 @@ func (s *StepClock) StepDone(step trace.Step) {
 	}
 	s.nd.EmitStep(s.phase, step, d)
 	if m := s.nd.Metrics(); m != nil {
-		m.Add(stepName(step), d)
+		m.Add(metrics.StepName(step.String()), d)
 		m.Add(metrics.PhaseName(s.phase), d)
 	}
-}
-
-// stepNames caches metrics.StepName for every step, indexed by step.
-var stepNames = func() (t [len(trace.Steps) + 1]string) {
-	for _, s := range trace.Steps {
-		t[s] = metrics.StepName(s.String())
-	}
-	return t
-}()
-
-func stepName(s trace.Step) string {
-	if int(s) < len(stepNames) && stepNames[s] != "" {
-		return stepNames[s]
-	}
-	return metrics.StepName(s.String())
 }

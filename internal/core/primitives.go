@@ -82,7 +82,7 @@ func AggregateMin(g *graph.Graph, values []int64, opts Options) (*AggregateResul
 		return nil, fmt.Errorf("core: %d values for %d nodes", len(values), g.N())
 	}
 	perNode := make([]int64, g.N())
-	out, err := randomizedMST.run(g, opts, func(c *nodeCtx, epi int64, done bool) error {
+	mst, err := randomizedMST.run(g, opts, func(c *nodeCtx, epi int64, done bool) error {
 		if !done {
 			return errors.New("mst construction did not converge")
 		}
@@ -103,14 +103,14 @@ func AggregateMin(g *graph.Graph, values []int64, opts Options) (*AggregateResul
 	if err != nil {
 		return nil, err
 	}
-	res := &AggregateResult{PerNode: perNode, Result: out.Result, Phases: out.Phases}
-	res.Value = perNode[0]
+	out := &AggregateResult{PerNode: perNode, Result: mst.Result, Phases: mst.Phases}
+	out.Value = perNode[0]
 	for v, x := range perNode {
-		if x != res.Value {
-			return nil, fmt.Errorf("core: aggregation disagreement at node %d: %d vs %d", v, x, res.Value)
+		if x != out.Value {
+			return nil, fmt.Errorf("core: aggregation disagreement at node %d: %d vs %d", v, x, out.Value)
 		}
 	}
-	return res, nil
+	return out, nil
 }
 
 // BroadcastFrom delivers the value held by the source node to every
@@ -121,7 +121,7 @@ func BroadcastFrom(g *graph.Graph, source int, value int64, opts Options) (*Aggr
 		return nil, fmt.Errorf("core: source %d out of range", source)
 	}
 	perNode := make([]int64, g.N())
-	out, err := randomizedMST.run(g, opts, func(c *nodeCtx, epi int64, done bool) error {
+	mst, err := randomizedMST.run(g, opts, func(c *nodeCtx, epi int64, done bool) error {
 		if !done {
 			return errors.New("mst construction did not converge")
 		}
@@ -144,11 +144,11 @@ func BroadcastFrom(g *graph.Graph, source int, value int64, opts Options) (*Aggr
 	if err != nil {
 		return nil, err
 	}
-	res := &AggregateResult{PerNode: perNode, Result: out.Result, Value: perNode[0]}
+	out := &AggregateResult{PerNode: perNode, Result: mst.Result, Value: perNode[0]}
 	for v, x := range perNode {
 		if x != value {
 			return nil, fmt.Errorf("core: broadcast failed at node %d: got %d want %d", v, x, value)
 		}
 	}
-	return res, nil
+	return out, nil
 }

@@ -151,6 +151,11 @@ func TestFaultOverload(t *testing.T) {
 	assertNoLeaks(t, before)
 }
 
+// engineLayoutBody is a request frame body in the layout that carried
+// a scheduler name between Seed and Transport (here "goroutine"): the
+// full fuzz seed as the corpus held it before that field was dropped.
+var engineLayoutBody = []byte("PT\x0emst/randomized\x06sensor\x80\x01\x80\x02\x10\x80\x80\x80\x80\x80\x80\x80\xe8?\r\tgoroutine\x03tcp\x80\x80\b\x80\xf8\x82\xad\x16\x01")
+
 // TestFaultMalformedFrame: an undecodable frame is answered with the
 // documented bad-frame response (ID -1, StatusInvalid), counted in
 // service/frames/bad, and the connection is hung up.
@@ -165,7 +170,9 @@ func TestFaultMalformedFrame(t *testing.T) {
 		{"garbage body", append([]byte{4}, 0xde, 0xad, 0xbe, 0xef)},
 		// A response frame where a request belongs.
 		{"wrong kind", mustFrame(Response{ID: 9, Status: StatusOK})},
-		// A request frame that still carries the scheduler-name field.
+		// A request frame that still carries the scheduler-name field:
+		// a stale client gets the bad-frame answer, not a request
+		// decoded from shifted fields.
 		{"engine field", append(binary.AppendUvarint(nil, uint64(len(engineLayoutBody))), engineLayoutBody...)},
 	}
 	for _, tc := range cases {

@@ -52,20 +52,6 @@ func fuzzSeeds() [][]byte {
 	return seeds
 }
 
-// engineLayoutBody is a request frame body in the layout that carried
-// a scheduler name between Seed and Transport (here "goroutine"): the
-// full fuzz seed as the corpus held it before that field was dropped.
-var engineLayoutBody = []byte("PT\x0emst/randomized\x06sensor\x80\x01\x80\x02\x10\x80\x80\x80\x80\x80\x80\x80\xe8?\r\tgoroutine\x03tcp\x80\x80\b\x80\xf8\x82\xad\x16\x01")
-
-// TestDecodeRequestRejectsEngineLayout: a client still sending the
-// scheduler-name field must get an undecodable-frame error, not a
-// request whose later fields were read from the wrong slots.
-func TestDecodeRequestRejectsEngineLayout(t *testing.T) {
-	if req, err := DecodeRequest(engineLayoutBody); err == nil {
-		t.Fatalf("old-layout frame decoded as %+v", req)
-	}
-}
-
 // FuzzDecodeRequest hardens the request decoder the same way
 // trace.FuzzReadJSONL hardens the trace reader: arbitrary bytes must
 // never panic or over-allocate, and whatever decodes must be stable —

@@ -46,29 +46,32 @@ func assertNoLeaks(t *testing.T, before int) {
 
 // TestFaultDeadline: an expired per-request deadline cancels the
 // running cell at a round barrier — StatusDeadline, no partial
-// artifact, no leaked node programs. (Cancellation on the goroutine
-// reference engine is pinned in internal/core's cancel tests.)
+// artifact, no leaked node programs. The service runs every request on
+// the event engine; cancellation on the goroutine reference engine is
+// pinned in internal/core's cancel tests.
 func TestFaultDeadline(t *testing.T) {
-	before := runtime.NumGoroutine()
-	svc := New(Config{Workers: 1})
-	resp := svc.Submit(Request{
-		ID: 1, Problem: "mst/randomized", Graph: "random", N: 512,
-		Seed: 1, Deadline: time.Nanosecond,
+	t.Run("event", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		svc := New(Config{Workers: 1})
+		resp := svc.Submit(Request{
+			ID: 1, Problem: "mst/randomized", Graph: "random", N: 512,
+			Seed: 1, Deadline: time.Nanosecond,
+		})
+		svc.Drain()
+		if resp.Status != StatusDeadline {
+			t.Fatalf("status %v (%s), want deadline", resp.Status, resp.Detail)
+		}
+		if !strings.Contains(resp.Detail, "deadline") {
+			t.Errorf("detail %q does not mention the deadline", resp.Detail)
+		}
+		if len(resp.Artifact) != 0 {
+			t.Error("deadline response carries a partial artifact")
+		}
+		if got := svc.Metrics().Get("service/status/deadline"); got != 1 {
+			t.Errorf("service/status/deadline = %d, want 1", got)
+		}
+		assertNoLeaks(t, before)
 	})
-	svc.Drain()
-	if resp.Status != StatusDeadline {
-		t.Fatalf("status %v (%s), want deadline", resp.Status, resp.Detail)
-	}
-	if !strings.Contains(resp.Detail, "deadline") {
-		t.Errorf("detail %q does not mention the deadline", resp.Detail)
-	}
-	if len(resp.Artifact) != 0 {
-		t.Error("deadline response carries a partial artifact")
-	}
-	if got := svc.Metrics().Get("service/status/deadline"); got != 1 {
-		t.Errorf("service/status/deadline = %d, want 1", got)
-	}
-	assertNoLeaks(t, before)
 }
 
 // TestFaultDeadlineCountsQueueWait: the deadline clock starts at

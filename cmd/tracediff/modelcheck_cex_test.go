@@ -21,8 +21,10 @@ import (
 // oversleepBugMsg is the one-bit payload of the fixture problem.
 type oversleepBugMsg struct{}
 
-func (oversleepBugMsg) Bits() int       { return 1 }
-func (oversleepBugMsg) MsgKind() string { return "osbug" }
+var oversleepBugMsgKind = sim.NewMsgKind("osbug")
+
+func (oversleepBugMsg) Bits() int            { return 1 }
+func (oversleepBugMsg) MsgKind() sim.MsgKind { return oversleepBugMsgKind }
 
 // oversleepBugProblem is the seeded-bug fixture: two awake rounds of
 // all-port chatter, plus one extra awake round whenever the scheduler

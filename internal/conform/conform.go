@@ -16,10 +16,11 @@
 package conform
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"sleepmst/internal/trace"
@@ -213,39 +214,67 @@ func MISCheck(notIndependent, notMaximal int64) Check {
 }
 
 // fold is the single-pass aggregation of a trace the checks run over.
+// It keeps per-node arrays and event-order slices, never a map on the
+// clean path: deliver-awake and strict causality are settled round by
+// round (a well-formed trace never goes back a round), against a node
+// stamp array and the round's sorted (from, to) pairs.
 type fold struct {
-	n int
+	n       int
+	relaxed bool
 
-	awakeCharged []int64           // KindAwake events per node
-	stepSum      []int64           // KindStep Aux per node
-	awakeAt      map[awakeKey]bool // (round, node) awake set
-	sendRounds   map[pairKey][]int64
-	sendCount    map[sendKey]int64
-	delivers     []trace.Event
-	deliverIdx   []int // canonical event index of each deliver, for localisation
+	awakeCharged []int64 // KindAwake events per node
+	stepSum      []int64 // KindStep Aux per node
 	crashed      []bool
-	anyCrash     bool
+	haveSteps    bool
 
-	phases    []int32                   // distinct phases, ascending
-	phaseFrag map[int32]map[int32]int64 // phase -> node -> entry fragment
-	nodeFrag  [][]trace.Event           // per node: phase + merge events, stream order
-	nbrs      []trace.Event
-	haveSteps bool
-}
+	asleep    violations // deliveries to nodes not awake that round
+	causality violations // deliveries without a matching send
 
-type awakeKey struct {
-	round int64
-	node  int32
-}
+	fragEvents []trace.Event // KindPhase and KindMerge events, event order
+	nbrs       []trace.Event
 
-type pairKey struct {
-	from, to int32
-}
-
-type sendKey struct {
+	// The round being folded: block numbers the rounds seen so far, and
+	// awakeIn[v] == block iff node v was awake in it.
+	block    int64
 	round    int64
-	from, to int32
+	awakeIn  []int64
+	sends    []uint64 // the round's sends as packed (from, to)
+	received []receipt
+	pairs    []uint64 // settle scratch
+	// sent holds every (from, to) pair sent so far; Relaxed only.
+	sent map[uint64]struct{}
 }
+
+// receipt is one delivery of the round being folded.
+type receipt struct {
+	to, from int32
+	idx      int // canonical event index, for localisation
+}
+
+// violations counts one check's violations and keeps the first one's
+// description.
+type violations struct {
+	count  int64
+	detail string
+}
+
+func (v *violations) add(count int64, format string, args ...interface{}) {
+	v.count += count
+	if v.detail == "" {
+		v.detail = fmt.Sprintf(format, args...)
+	}
+}
+
+// check returns c with the violations folded in.
+func (v *violations) check(c Check) Check {
+	c.Violations, c.Detail = v.count, v.detail
+	if v.count > 0 {
+		c.Status = StatusFail
+	}
+	return c
+}
+
+func pairKey(from, to int32) uint64 { return uint64(from)<<32 | uint64(uint32(to)) }
 
 // CheckTrace runs the invariant catalog over one trace and returns the
 // verdict. meta and events come from trace.ReadJSONL or from a live
@@ -267,7 +296,7 @@ func CheckTrace(meta trace.Meta, events []trace.Event, info RunInfo) *Verdict {
 		return v
 	}
 
-	f := foldEvents(n, events)
+	f := foldEvents(n, events, info.Relaxed)
 	h := walkFragments(f)
 	v.Append(checkAwakeBudget(f, info, n))
 	v.Append(checkAwakeAttribution(f, meta, info))
@@ -276,7 +305,7 @@ func CheckTrace(meta trace.Meta, events []trace.Event, info RunInfo) *Verdict {
 	v.Append(direction)
 	v.Append(checkFragmentDecay(f, h, meta))
 	v.Append(checkSparsifyDegree(f))
-	v.Append(checkCausality(f, meta, info))
+	v.Append(checkCausality(f, meta))
 	v.Append(checkDeliverAwake(f, meta))
 	return v
 }
@@ -325,55 +354,99 @@ func checkWellFormed(meta trace.Meta, events []trace.Event, n int) Check {
 }
 
 // foldEvents aggregates the stream into the per-check indexes.
-func foldEvents(n int, events []trace.Event) *fold {
+func foldEvents(n int, events []trace.Event, relaxed bool) *fold {
 	f := &fold{
 		n:            n,
+		relaxed:      relaxed,
 		awakeCharged: make([]int64, n),
 		stepSum:      make([]int64, n),
-		awakeAt:      make(map[awakeKey]bool),
-		sendRounds:   make(map[pairKey][]int64),
-		sendCount:    make(map[sendKey]int64),
 		crashed:      make([]bool, n),
-		phaseFrag:    map[int32]map[int32]int64{},
-		nodeFrag:     make([][]trace.Event, n),
+		awakeIn:      make([]int64, n),
 	}
-	for i, ev := range events {
+	if relaxed {
+		f.sent = map[uint64]struct{}{}
+	}
+	for i := range events {
+		ev := &events[i]
+		if f.block == 0 || ev.Round != f.round {
+			f.settle()
+			f.block++
+			f.round = ev.Round
+		}
 		switch ev.Kind {
 		case trace.KindAwake:
 			f.awakeCharged[ev.Node]++
-			f.awakeAt[awakeKey{ev.Round, ev.Node}] = true
+			f.awakeIn[ev.Node] = f.block
 		case trace.KindStep:
 			f.stepSum[ev.Node] += ev.Aux
 			f.haveSteps = true
 		case trace.KindSend:
-			f.sendRounds[pairKey{ev.Node, ev.Peer}] = append(f.sendRounds[pairKey{ev.Node, ev.Peer}], ev.Round)
-			f.sendCount[sendKey{ev.Round, ev.Node, ev.Peer}]++
+			f.sends = append(f.sends, pairKey(ev.Node, ev.Peer))
 		case trace.KindDeliver:
-			f.delivers = append(f.delivers, ev)
-			f.deliverIdx = append(f.deliverIdx, i)
+			f.received = append(f.received, receipt{to: ev.Node, from: ev.Peer, idx: i})
 		case trace.KindCrash:
 			f.crashed[ev.Node] = true
-			f.anyCrash = true
-		case trace.KindPhase:
-			m, ok := f.phaseFrag[ev.Phase]
-			if !ok {
-				m = map[int32]int64{}
-				f.phaseFrag[ev.Phase] = m
-				f.phases = append(f.phases, ev.Phase)
-			}
-			m[ev.Node] = ev.Frag
-			f.nodeFrag[ev.Node] = append(f.nodeFrag[ev.Node], ev)
-		case trace.KindMerge:
-			f.nodeFrag[ev.Node] = append(f.nodeFrag[ev.Node], ev)
+		case trace.KindPhase, trace.KindMerge:
+			f.fragEvents = append(f.fragEvents, *ev)
 		case trace.KindNbrs:
-			f.nbrs = append(f.nbrs, ev)
+			f.nbrs = append(f.nbrs, *ev)
 		}
 	}
-	sort.Slice(f.phases, func(i, j int) bool { return f.phases[i] < f.phases[j] })
-	for _, rounds := range f.sendRounds {
-		sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
-	}
+	f.settle()
 	return f
+}
+
+// settle closes the round being folded: every delivery must reach a
+// node awake in the round, and must match a send — of the same round,
+// one send per delivery (strict), or of any round so far (Relaxed:
+// delays and duplicate copies arrive late).
+func (f *fold) settle() {
+	for _, r := range f.received {
+		if f.awakeIn[r.to] != f.block {
+			f.asleep.add(1, "node %d received from %d in round %d while asleep", r.to, r.from, f.round)
+		}
+	}
+	if f.relaxed {
+		for _, s := range f.sends {
+			f.sent[s] = struct{}{}
+		}
+		for _, r := range f.received {
+			if _, ok := f.sent[pairKey(r.from, r.to)]; !ok {
+				// The event index localises the violation in the
+				// canonical stream (tracediff's coordinate system).
+				f.causality.add(1, "event %d: deliver %d->%d at round %d precedes every send", r.idx, r.from, r.to, f.round)
+			}
+		}
+	} else if len(f.received) > 0 {
+		got := f.pairs[:0]
+		for _, r := range f.received {
+			got = append(got, pairKey(r.from, r.to))
+		}
+		slices.Sort(got)
+		slices.Sort(f.sends)
+		// Walk the delivered pairs in (from, to) order, counting each
+		// pair's deliveries and sends.
+		for i, j := 0, 0; i < len(got); {
+			key, next := got[i], i+1
+			for next < len(got) && got[next] == key {
+				next++
+			}
+			for j < len(f.sends) && f.sends[j] < key {
+				j++
+			}
+			sent := 0
+			for j < len(f.sends) && f.sends[j] == key {
+				sent++
+				j++
+			}
+			if n := next - i; n > sent {
+				f.causality.add(int64(n-sent), "round %d: %d deliveries %d->%d but %d sends", f.round, n, key>>32, uint32(key), sent)
+			}
+			i = next
+		}
+		f.pairs = got
+	}
+	f.sends, f.received = f.sends[:0], f.received[:0]
 }
 
 // checkAwakeBudget compares each node's awake rounds against the
@@ -446,10 +519,16 @@ func checkAwakeAttribution(f *fold, meta trace.Meta, info RunInfo) Check {
 // fragHistory is the result of replaying every node's fragment-label
 // events in logical emission order.
 type fragHistory struct {
-	mergesByPhase map[int32][]trace.Event
-	finalFrag     map[int32]int64
-	violations    int64
-	firstDetail   string
+	merges      []phaseMerge // in node order
+	finalFrag   []int64      // per node, valid where known
+	known       []bool
+	consistency violations
+}
+
+// phaseMerge is one merge, attributed to the phase the node was in.
+type phaseMerge struct {
+	phase      int32
+	prev, frag int64
 }
 
 // walkFragments replays phase-entry and merge events per node. The
@@ -460,21 +539,12 @@ type fragHistory struct {
 // label continuity and attributes each merge to the phase the node was
 // still in.
 func walkFragments(f *fold) *fragHistory {
-	h := &fragHistory{mergesByPhase: map[int32][]trace.Event{}, finalFrag: make(map[int32]int64, f.n)}
-	note := func(format string, args ...interface{}) {
-		h.violations++
-		if h.firstDetail == "" {
-			h.firstDetail = fmt.Sprintf(format, args...)
-		}
-	}
-	for node := range f.nodeFrag {
-		evs := append([]trace.Event(nil), f.nodeFrag[node]...)
-		sort.SliceStable(evs, func(i, j int) bool {
-			if evs[i].Round != evs[j].Round {
-				return evs[i].Round < evs[j].Round
-			}
-			return evs[i].Kind == trace.KindMerge && evs[j].Kind == trace.KindPhase
-		})
+	h := &fragHistory{finalFrag: make([]int64, f.n), known: make([]bool, f.n)}
+	note := func(format string, args ...interface{}) { h.consistency.add(1, format, args...) }
+	byNode, start := groupByNode(f.fragEvents, f.n)
+	for node := 0; node < f.n; node++ {
+		evs := byNode[start[node]:start[node+1]]
+		mergesFirst(evs)
 		curPhase := int32(0)
 		curFrag, known := int64(0), false
 		mergedInPhase := false
@@ -498,13 +568,43 @@ func walkFragments(f *fold) *fragHistory {
 				note("node %d merges from fragment %d but was in %d (phase %d)", node, ev.Prev, curFrag, curPhase)
 			}
 			curFrag, known = ev.Frag, true
-			h.mergesByPhase[curPhase] = append(h.mergesByPhase[curPhase], ev)
+			h.merges = append(h.merges, phaseMerge{phase: curPhase, prev: ev.Prev, frag: ev.Frag})
 		}
-		if known {
-			h.finalFrag[int32(node)] = curFrag
-		}
+		h.finalFrag[node], h.known[node] = curFrag, known
 	}
 	return h
+}
+
+// groupByNode returns evs regrouped by node with a stable counting
+// sort, and where each node's run starts (node v's events are
+// out[start[v]:start[v+1]]).
+func groupByNode(evs []trace.Event, n int) (out []trace.Event, start []int) {
+	start = make([]int, n+1)
+	for i := range evs {
+		start[evs[i].Node+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	out = make([]trace.Event, len(evs))
+	next := append([]int(nil), start[:n]...)
+	for i := range evs {
+		v := evs[i].Node
+		out[next[v]] = evs[i]
+		next[v]++
+	}
+	return out, start
+}
+
+// mergesFirst moves, within each run of equal rounds, the merge events
+// ahead of the phase entries, keeping each kind's order; evs is in
+// round order.
+func mergesFirst(evs []trace.Event) {
+	for i := 1; i < len(evs); i++ {
+		for j := i; j > 0 && evs[j].Kind == trace.KindMerge && evs[j-1].Kind == trace.KindPhase && evs[j-1].Round == evs[j].Round; j-- {
+			evs[j], evs[j-1] = evs[j-1], evs[j]
+		}
+	}
 }
 
 // checkMerges verifies per-phase merge structure: label continuity and
@@ -518,40 +618,47 @@ func checkMerges(h *fragHistory, meta trace.Meta) (consistency, direction Check)
 		reason := fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped)
 		return skip(consistency, reason), skip(direction, reason)
 	}
-	consistency.Violations = h.violations
-	consistency.Detail = h.firstDetail
-	if consistency.Violations > 0 {
-		consistency.Status = StatusFail
-	}
-	phases := make([]int32, 0, len(h.mergesByPhase))
-	for ph := range h.mergesByPhase {
-		phases = append(phases, ph)
-	}
-	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-	for _, ph := range phases {
-		srcs, dsts := map[int64]bool{}, map[int64]bool{}
-		var chained []int64
-		for _, ev := range h.mergesByPhase[ph] {
-			srcs[ev.Prev] = true
-			dsts[ev.Frag] = true
+	consistency = h.consistency.check(consistency)
+	merges := slices.Clone(h.merges)
+	slices.SortStableFunc(merges, func(a, b phaseMerge) int { return cmp.Compare(a.phase, b.phase) })
+	var srcs, dsts []int64
+	for i := 0; i < len(merges); {
+		ph, next := merges[i].phase, i
+		srcs, dsts = srcs[:0], dsts[:0]
+		for ; next < len(merges) && merges[next].phase == ph; next++ {
+			srcs = append(srcs, merges[next].prev)
+			dsts = append(dsts, merges[next].frag)
 		}
-		for frag := range dsts {
-			if srcs[frag] {
-				chained = append(chained, frag)
+		// A chained fragment is in both sorted sets; report them in
+		// ascending order.
+		srcs, dsts = sortedSet(srcs), sortedSet(dsts)
+		for a, b := 0, 0; a < len(srcs) && b < len(dsts); {
+			switch {
+			case srcs[a] < dsts[b]:
+				a++
+			case srcs[a] > dsts[b]:
+				b++
+			default:
+				direction.Violations++
+				if direction.Detail == "" {
+					direction.Detail = fmt.Sprintf("fragment %d is both merge source and target in phase %d", dsts[b], ph)
+				}
+				a++
+				b++
 			}
 		}
-		sort.Slice(chained, func(i, j int) bool { return chained[i] < chained[j] })
-		for _, frag := range chained {
-			direction.Violations++
-			if direction.Detail == "" {
-				direction.Detail = fmt.Sprintf("fragment %d is both merge source and target in phase %d", frag, ph)
-			}
-		}
+		i = next
 	}
 	if direction.Violations > 0 {
 		direction.Status = StatusFail
 	}
 	return consistency, direction
+}
+
+// sortedSet sorts xs and drops repeats, in place.
+func sortedSet(xs []int64) []int64 {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
 // checkFragmentDecay verifies the Lemma 1 / Lemma 5 shape: the number
@@ -562,34 +669,52 @@ func checkFragmentDecay(f *fold, h *fragHistory, meta trace.Meta) Check {
 	if meta.Dropped > 0 {
 		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
 	}
-	if len(f.phases) == 0 {
+	var entries []trace.Event
+	for _, ev := range f.fragEvents {
+		if ev.Kind == trace.KindPhase {
+			entries = append(entries, ev)
+		}
+	}
+	if len(entries) == 0 {
 		return skip(c, "trace has no phase events")
 	}
-	prevCount := -1
-	for _, ph := range f.phases {
-		distinct := map[int64]bool{}
-		for _, frag := range f.phaseFrag[ph] {
-			distinct[frag] = true
+	// Per phase, a node's fragment is its last entry's.
+	slices.SortStableFunc(entries, func(a, b trace.Event) int {
+		if c := cmp.Compare(a.Phase, b.Phase); c != 0 {
+			return c
 		}
-		if prevCount >= 0 && len(distinct) > prevCount {
+		return cmp.Compare(a.Node, b.Node)
+	})
+	prevCount := -1
+	var frags []int64
+	for i := 0; i < len(entries); {
+		ph := entries[i].Phase
+		frags = frags[:0]
+		for ; i < len(entries) && entries[i].Phase == ph; i++ {
+			if i+1 < len(entries) && entries[i+1].Phase == ph && entries[i+1].Node == entries[i].Node {
+				continue
+			}
+			frags = append(frags, entries[i].Frag)
+		}
+		count := len(sortedSet(frags))
+		if prevCount >= 0 && count > prevCount {
 			c.Violations++
 			if c.Detail == "" {
-				c.Detail = fmt.Sprintf("phase %d has %d fragments, up from %d", ph, len(distinct), prevCount)
+				c.Detail = fmt.Sprintf("phase %d has %d fragments, up from %d", ph, count, prevCount)
 			}
 		}
-		prevCount = len(distinct)
+		prevCount = count
 	}
-	final := map[int64]bool{}
-	for node, frag := range h.finalFrag {
-		if f.crashed[node] {
-			continue
+	frags = frags[:0]
+	for node, known := range h.known {
+		if known && !f.crashed[node] {
+			frags = append(frags, h.finalFrag[node])
 		}
-		final[frag] = true
 	}
-	if len(final) != 1 {
+	if final := len(sortedSet(frags)); final != 1 {
 		c.Violations++
 		if c.Detail == "" {
-			c.Detail = fmt.Sprintf("run ends with %d fragments, want 1", len(final))
+			c.Detail = fmt.Sprintf("run ends with %d fragments, want 1", final)
 		}
 	}
 	if c.Violations > 0 {
@@ -624,61 +749,12 @@ func checkSparsifyDegree(f *fold) Check {
 // checkCausality verifies every delivery has a matching send: in the
 // same round (clean model), or in any earlier-or-equal round when
 // Relaxed (interceptor delays and duplicate copies arrive late).
-func checkCausality(f *fold, meta trace.Meta, info RunInfo) Check {
+func checkCausality(f *fold, meta trace.Meta) Check {
 	c := Check{Name: CheckCausality, Status: StatusPass}
 	if meta.Dropped > 0 {
 		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
 	}
-	if info.Relaxed {
-		for di, ev := range f.delivers {
-			rounds := f.sendRounds[pairKey{ev.Peer, ev.Node}]
-			i := sort.Search(len(rounds), func(i int) bool { return rounds[i] > ev.Round })
-			if i == 0 {
-				c.Violations++
-				if c.Detail == "" {
-					// The event index localises the violation in the
-					// canonical stream (tracediff's coordinate system).
-					c.Detail = fmt.Sprintf("event %d: deliver %d->%d at round %d precedes every send",
-						f.deliverIdx[di], ev.Peer, ev.Node, ev.Round)
-				}
-			}
-		}
-	} else {
-		deliverCount := map[sendKey]int64{}
-		for _, ev := range f.delivers {
-			deliverCount[sendKey{ev.Round, ev.Peer, ev.Node}]++
-		}
-		// Walk the violating keys in a deterministic order: map
-		// iteration order would make the reported first violation — and
-		// therefore the verdict bytes — vary between identical runs.
-		var bad []sendKey
-		for key, got := range deliverCount {
-			if got > f.sendCount[key] {
-				bad = append(bad, key)
-			}
-		}
-		sort.Slice(bad, func(i, j int) bool {
-			a, b := bad[i], bad[j]
-			if a.round != b.round {
-				return a.round < b.round
-			}
-			if a.from != b.from {
-				return a.from < b.from
-			}
-			return a.to < b.to
-		})
-		for _, key := range bad {
-			got := deliverCount[key]
-			c.Violations += got - f.sendCount[key]
-			if c.Detail == "" {
-				c.Detail = fmt.Sprintf("round %d: %d deliveries %d->%d but %d sends", key.round, got, key.from, key.to, f.sendCount[key])
-			}
-		}
-	}
-	if c.Violations > 0 {
-		c.Status = StatusFail
-	}
-	return c
+	return f.causality.check(c)
 }
 
 // checkDeliverAwake verifies no delivery reached a node that was not
@@ -688,18 +764,7 @@ func checkDeliverAwake(f *fold, meta trace.Meta) Check {
 	if meta.Dropped > 0 {
 		return skip(c, fmt.Sprintf("%d events dropped by ring overflow", meta.Dropped))
 	}
-	for _, ev := range f.delivers {
-		if !f.awakeAt[awakeKey{ev.Round, ev.Node}] {
-			c.Violations++
-			if c.Detail == "" {
-				c.Detail = fmt.Sprintf("node %d received from %d in round %d while asleep", ev.Node, ev.Peer, ev.Round)
-			}
-		}
-	}
-	if c.Violations > 0 {
-		c.Status = StatusFail
-	}
-	return c
+	return f.asleep.check(c)
 }
 
 func fail(c Check, detail string) Check {

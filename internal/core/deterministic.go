@@ -101,21 +101,27 @@ func (l nbrList) Bits() int {
 	return b
 }
 
-func (nbrList) MsgKind() string { return "nbr-info" }
+var nbrListKind = sim.NewMsgKind("nbr-info")
+
+func (nbrList) MsgKind() sim.MsgKind { return nbrListKind }
 
 // intPayload is a Sizer-friendly integer wire value.
 type intPayload int64
 
 func (p intPayload) Bits() int { return ldt.FieldBits(int64(p)) }
 
-func (intPayload) MsgKind() string { return "int" }
+var intPayloadKind = sim.NewMsgKind("int")
+
+func (intPayload) MsgKind() sim.MsgKind { return intPayloadKind }
 
 // validMsg tells the sender of an incoming MOE whether it was selected.
 type validMsg struct{ accepted bool }
 
 func (validMsg) Bits() int { return 1 }
 
-func (validMsg) MsgKind() string { return "valid" }
+var validMsgKind = sim.NewMsgKind("valid")
+
+func (validMsg) MsgKind() sim.MsgKind { return validMsgKind }
 
 // colorMsg announces a fragment's chosen color.
 type colorMsg struct {
@@ -125,7 +131,9 @@ type colorMsg struct {
 
 func (m colorMsg) Bits() int { return ldt.FieldBits(m.fragID) + 3 }
 
-func (colorMsg) MsgKind() string { return "color" }
+var colorMsgKind = sim.NewMsgKind("color")
+
+func (colorMsg) MsgKind() sim.MsgKind { return colorMsgKind }
 
 // mergeCmd is the pass-1 merge decision broadcast to the fragment.
 type mergeCmd struct {
@@ -136,7 +144,9 @@ type mergeCmd struct {
 
 func (m mergeCmd) Bits() int { return 1 + ldt.FieldBits(m.hostID) + ldt.FieldBits(int64(m.hostPort)) }
 
-func (mergeCmd) MsgKind() string { return "merge-cmd" }
+var mergeCmdKind = sim.NewMsgKind("merge-cmd")
+
+func (mergeCmd) MsgKind() sim.MsgKind { return mergeCmdKind }
 
 // mergeEntries deduplicates and sorts supergraph entries.
 func mergeEntries(lists ...[]nbrEntry) nbrList {
@@ -200,7 +210,7 @@ func (c *nodeCtx) supergraphStep(bs func(int64) int64) (supergraph, bool) {
 
 	// Announce the fragment MOE on its edge; learn which incident edges
 	// are incoming MOEs from other fragments.
-	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
+	c.nd.Tally().Add(moeProbes, int64(c.nd.Degree()))
 	out := c.nd.Outbox()
 	for p := range out {
 		out[p] = taMOEMsg{fragID: c.st.FragID, isMOE: owner && p == ph.moe.ownerPort}

@@ -80,7 +80,9 @@ type cvColorMsg struct {
 
 func (m cvColorMsg) Bits() int { return ldt.FieldBits(m.fragID) + ldt.FieldBits(m.color) }
 
-func (cvColorMsg) MsgKind() string { return "cv-color" }
+var cvColorMsgKind = sim.NewMsgKind("cv-color")
+
+func (cvColorMsg) MsgKind() sim.MsgKind { return cvColorMsgKind }
 
 // cvColorList is the Up/Broadcast payload: CV colors of <= 4 neighbors.
 type cvColorList []cvColorMsg
@@ -93,7 +95,9 @@ func (l cvColorList) Bits() int {
 	return b
 }
 
-func (cvColorList) MsgKind() string { return "cv-colors" }
+var cvColorListKind = sim.NewMsgKind("cv-colors")
+
+func (cvColorList) MsgKind() sim.MsgKind { return cvColorListKind }
 
 // parentInfo is the orientation broadcast payload.
 type parentInfo struct {
@@ -103,7 +107,9 @@ type parentInfo struct {
 
 func (m parentInfo) Bits() int { return 1 + ldt.FieldBits(m.fragID) }
 
-func (parentInfo) MsgKind() string { return "cv-parent" }
+var parentInfoKind = sim.NewMsgKind("cv-parent")
+
+func (parentInfo) MsgKind() sim.MsgKind { return parentInfoKind }
 
 // logStarBlocks returns the block count of one LogStar-MST phase.
 func logStarBlocks(maxID int64) int64 {
@@ -344,7 +350,9 @@ func (l colorMsgList) Bits() int {
 	return b
 }
 
-func (colorMsgList) MsgKind() string { return "color-list" }
+var colorMsgListKind = sim.NewMsgKind("color-list")
+
+func (colorMsgList) MsgKind() sim.MsgKind { return colorMsgListKind }
 
 // logStarPhase is detPhase with the coloring swapped out.
 func (c *nodeCtx) logStarPhase(phaseStart int64) (done bool) {

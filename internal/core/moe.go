@@ -55,7 +55,9 @@ func (m taFragMsg) Bits() int {
 	return ldt.FieldBits(m.id) + ldt.FieldBits(m.fragID) + ldt.FieldBits(int64(m.level))
 }
 
-func (taFragMsg) MsgKind() string { return "ta-frag" }
+var taFragMsgKind = sim.NewMsgKind("ta-frag")
+
+func (taFragMsg) MsgKind() sim.MsgKind { return taFragMsgKind }
 
 // taFragment runs one Transmit-Adjacent block in which every node
 // refreshes its per-port neighbor knowledge.
@@ -127,7 +129,7 @@ func (c *nodeCtx) localMOE() *ldt.MinItem {
 func (c *nodeCtx) upcastMOE(start int64) *moeInfo {
 	mine := c.localMOE()
 	if mine != nil {
-		c.nd.Metrics().Add("moe/candidates", 1)
+		c.nd.Tally().Add(moeCandidates, 1)
 	}
 	res := ldt.UpcastMin(c.nd, c.st, start, mine)
 	if res == nil {
@@ -148,7 +150,9 @@ type bcastMOEMsg struct {
 
 func (m bcastMOEMsg) Bits() int { return 2 + m.moe.Bits() }
 
-func (bcastMOEMsg) MsgKind() string { return "bcast-moe" }
+var bcastMOEMsgKind = sim.NewMsgKind("bcast-moe")
+
+func (bcastMOEMsg) MsgKind() sim.MsgKind { return bcastMOEMsgKind }
 
 // broadcastMOE distributes the root's MOE knowledge (and coin) to the
 // whole fragment.
@@ -172,7 +176,9 @@ type boolPayload bool
 
 func (boolPayload) Bits() int { return 1 }
 
-func (boolPayload) MsgKind() string { return "bool" }
+var boolPayloadKind = sim.NewMsgKind("bool")
+
+func (boolPayload) MsgKind() sim.MsgKind { return boolPayloadKind }
 
 // upcastFirst runs an Up block that propagates the first non-nil value
 // toward the root (used for single-owner facts such as MOE validity).

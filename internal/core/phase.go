@@ -161,8 +161,30 @@ func (s *StepClock) StepDone(step trace.Step) {
 		return
 	}
 	s.nd.EmitStep(s.phase, step, d)
-	if m := s.nd.Metrics(); m != nil {
-		m.Add(metrics.StepName(step.String()), d)
-		m.Add(metrics.PhaseName(s.phase), d)
+	if t := s.nd.Tally(); t != nil {
+		t.Add(stepSlot(step), d)
+		t.Add(metrics.PhaseSlot(s.phase), d)
 	}
 }
+
+// stepSlot returns the awake/step/<step> counter of step.
+func stepSlot(step trace.Step) metrics.Slot {
+	if int(step) < len(stepSlots) {
+		return stepSlots[step]
+	}
+	return metrics.NewSlot(metrics.StepName(step.String()))
+}
+
+var stepSlots = func() (t [trace.StepMISCleanup + 1]metrics.Slot) {
+	for s := range t {
+		t[s] = metrics.NewSlot(metrics.StepName(trace.Step(s).String()))
+	}
+	return t
+}()
+
+// MOE counters: Transmit-Adjacent probe messages, and local MOE
+// candidates upcast to fragment roots.
+var (
+	moeProbes     = metrics.NewSlot("moe/probes")
+	moeCandidates = metrics.NewSlot("moe/candidates")
+)

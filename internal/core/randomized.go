@@ -3,6 +3,7 @@ package core
 import (
 	"sleepmst/internal/graph"
 	"sleepmst/internal/ldt"
+	"sleepmst/internal/sim"
 	"sleepmst/internal/trace"
 )
 
@@ -30,7 +31,9 @@ type taMOEMsg struct {
 
 func (m taMOEMsg) Bits() int { return ldt.FieldBits(m.fragID) + 2 }
 
-func (taMOEMsg) MsgKind() string { return "ta-moe" }
+var taMOEMsgKind = sim.NewMsgKind("ta-moe")
+
+func (taMOEMsg) MsgKind() sim.MsgKind { return taMOEMsgKind }
 
 // randPhase runs one phase. It returns (done, merged): done means the
 // fragment spans the graph (no outgoing edge) and the node may halt.
@@ -58,7 +61,7 @@ func (c *nodeCtx) randPhase(phaseStart int64) (done bool) {
 	owner := c.isMOEOwner(&ph.moe)
 
 	// Restrict to valid MOEs: only tails -> heads edges survive.
-	c.nd.Metrics().Add("moe/probes", int64(c.nd.Degree()))
+	c.nd.Tally().Add(moeProbes, int64(c.nd.Degree()))
 	out := c.nd.Outbox()
 	for p := range out {
 		out[p] = taMOEMsg{

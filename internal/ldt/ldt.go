@@ -16,6 +16,7 @@ package ldt
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/sim"
@@ -133,11 +134,30 @@ func (m wireMsg) Bits() int { return sim.MessageBits(m.payload) + 2 }
 
 // MsgKind tags the wave wrapper with its payload's kind so message
 // tallies distinguish e.g. wave-carried colors from direct exchanges.
-func (m wireMsg) MsgKind() string {
+func (m wireMsg) MsgKind() sim.MsgKind {
 	if k, ok := m.payload.(sim.Kinded); ok {
-		return "wave-" + k.MsgKind()
+		return waveKind(k.MsgKind())
 	}
-	return "wave"
+	return plainWaveKind
+}
+
+var plainWaveKind = sim.NewMsgKind("wave")
+
+// waveKinds caches wave-<label> per payload kind (0 = not yet
+// declared, else the kind plus one); payload kinds live in other
+// packages, so each is declared on first delivery.
+var waveKinds [1 << 10]atomic.Uint32
+
+func waveKind(inner sim.MsgKind) sim.MsgKind {
+	if int(inner) >= len(waveKinds) {
+		return sim.NewMsgKind("wave-" + inner.Label())
+	}
+	if k := waveKinds[inner].Load(); k != 0 {
+		return sim.MsgKind(k - 1)
+	}
+	k := sim.NewMsgKind("wave-" + inner.Label())
+	waveKinds[inner].Store(uint32(k) + 1)
+	return k
 }
 
 // Down runs one top-down wave over the fragment tree within the block
@@ -254,7 +274,9 @@ func (m MinItem) Bits() int {
 }
 
 // MsgKind names Upcast-Min traffic in message tallies.
-func (MinItem) MsgKind() string { return "upcast-min" }
+var minItemKind = sim.NewMsgKind("upcast-min")
+
+func (MinItem) MsgKind() sim.MsgKind { return minItemKind }
 
 // UpcastMin implements the paper's Upcast-Min: the minimum-key item
 // held by any node of the fragment reaches the root. Nodes with no

@@ -3,7 +3,15 @@ package ldt
 import (
 	"fmt"
 
+	"sleepmst/internal/metrics"
 	"sleepmst/internal/sim"
+)
+
+// Merging-Fragments counters: wave executions and the deepest
+// pre-merge fragment level.
+var (
+	mergeWaves    = metrics.NewSlot("merge/waves")
+	mergeDepthMax = metrics.NewMaxSlot("merge/depth/max")
 )
 
 // MergeBlocks is the number of transmission-schedule blocks consumed
@@ -35,7 +43,9 @@ type taMergeMsg struct {
 
 func (m taMergeMsg) Bits() int { return FieldBits(m.fragID) + FieldBits(int64(m.level)) + 1 }
 
-func (taMergeMsg) MsgKind() string { return "ta-merge" }
+var taMergeMsgKind = sim.NewMsgKind("ta-merge")
+
+func (taMergeMsg) MsgKind() sim.MsgKind { return taMergeMsgKind }
 
 // waveMsg carries the NEW-FRAGMENT-ID / NEW-LEVEL-NUM pair of the
 // paper's merge waves; empty encodes the paper's ⊥.
@@ -47,7 +57,9 @@ type waveMsg struct {
 
 func (m waveMsg) Bits() int { return FieldBits(m.fragID) + FieldBits(int64(m.level)) + 1 }
 
-func (waveMsg) MsgKind() string { return "merge-wave" }
+var waveMsgKind = sim.NewMsgKind("merge-wave")
+
+func (waveMsg) MsgKind() sim.MsgKind { return waveMsgKind }
 
 // MergingFragments implements the paper's Procedure
 // Merging-Fragments: every merging fragment re-roots itself at its
@@ -102,8 +114,8 @@ func MergingFragments(nd *sim.Node, st *State, start int64, dec MergeDecision) {
 		newChildren = st.TreePorts() // old parent and children all become children
 		// u_T initiates exactly one wave per merging fragment, so this
 		// is the canonical place to count waves and track depth.
-		nd.Metrics().Add("merge/waves", 1)
-		nd.Metrics().Max("merge/depth/max", int64(st.Level))
+		nd.Tally().Add(mergeWaves, 1)
+		nd.Tally().Max(mergeDepthMax, int64(st.Level))
 	}
 
 	if !dec.Merging {

@@ -1,7 +1,9 @@
 // Package metrics is a small deterministic counter registry for
 // simulation runs: named monotone counters (Add) and high-water marks
 // (Max) that the simulator, the LDT primitives, and the core
-// algorithms bump while running. Because both operations are
+// algorithms bump while running — through a Tally, the dense per-run
+// form indexed by declared Slots, which the simulator flushes into the
+// run's Registry once when the run ends. Because both operations are
 // commutative and associative, the final value of every metric is
 // independent of goroutine interleaving, and MergeAll folds per-run
 // registries from a sweep worker pool into an aggregate that is

@@ -15,8 +15,10 @@ import (
 // pingMsg is the one-bit payload of the chatter test problem.
 type pingMsg struct{}
 
-func (pingMsg) Bits() int       { return 1 }
-func (pingMsg) MsgKind() string { return "ping" }
+var pingMsgKind = sim.NewMsgKind("ping")
+
+func (pingMsg) Bits() int            { return 1 }
+func (pingMsg) MsgKind() sim.MsgKind { return pingMsgKind }
 
 // chatterProblem is the minimal deterministic test problem: every
 // node is awake for rounds consecutive rounds, sending one ping on

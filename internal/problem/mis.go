@@ -90,14 +90,18 @@ type misSampleMsg struct {
 
 func (m misSampleMsg) Bits() int { return ldt.FieldBits(m.id) + 32 + 1 }
 
-func (misSampleMsg) MsgKind() string { return "mis-sample" }
+var misSampleMsgKind = sim.NewMsgKind("mis-sample")
+
+func (misSampleMsg) MsgKind() sim.MsgKind { return misSampleMsgKind }
 
 // misJoinMsg announces an MIS join in round two of a sparsify phase.
 type misJoinMsg struct{}
 
 func (misJoinMsg) Bits() int { return 1 }
 
-func (misJoinMsg) MsgKind() string { return "mis-join" }
+var misJoinMsgKind = sim.NewMsgKind("mis-join")
+
+func (misJoinMsg) MsgKind() sim.MsgKind { return misJoinMsgKind }
 
 // misSyncMsg is the cleanup sync exchange among residual nodes.
 type misSyncMsg struct {
@@ -106,7 +110,9 @@ type misSyncMsg struct {
 
 func (m misSyncMsg) Bits() int { return ldt.FieldBits(m.id) }
 
-func (misSyncMsg) MsgKind() string { return "mis-sync" }
+var misSyncMsgKind = sim.NewMsgKind("mis-sync")
+
+func (misSyncMsg) MsgKind() sim.MsgKind { return misSyncMsgKind }
 
 // misDecideMsg is a cleanup-slot announcement.
 type misDecideMsg struct {
@@ -115,7 +121,9 @@ type misDecideMsg struct {
 
 func (misDecideMsg) Bits() int { return 1 }
 
-func (misDecideMsg) MsgKind() string { return "mis-decide" }
+var misDecideMsgKind = sim.NewMsgKind("mis-decide")
+
+func (misDecideMsg) MsgKind() sim.MsgKind { return misDecideMsgKind }
 
 // misProblem is the MIS entry of the problem registry.
 type misProblem struct{}

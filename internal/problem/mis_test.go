@@ -155,7 +155,7 @@ func TestMISMessageBits(t *testing.T) {
 			t.Errorf("%T.Bits() = %d, want a positive CONGEST-word size", tc.m, b)
 		}
 		k, ok := tc.m.(sim.Kinded)
-		if !ok || k.MsgKind() != tc.kind {
+		if !ok || k.MsgKind().Label() != tc.kind {
 			t.Errorf("%T: want kind %q", tc.m, tc.kind)
 		}
 	}

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"sleepmst/internal/graph"
 	"sleepmst/internal/metrics"
@@ -47,20 +48,37 @@ type Sizer interface {
 	Bits() int
 }
 
-// Kinded lets a message type declare a stable kind label; delivered
-// messages are then tallied per kind into the msgs/type/<kind> metric
+// Kinded lets a message type declare a stable kind; delivered
+// messages are then tallied per kind into the msgs/type/<label> metric
 // when Config.Metrics is set. Messages without a kind tally as
 // "other".
 type Kinded interface {
-	MsgKind() string
+	MsgKind() MsgKind
 }
 
-// kindOf returns the metric label of a message.
-func kindOf(msg interface{}) string {
+// MsgKind is a message kind: the dense metrics slot of its
+// msgs/type/<label> counter. Declare one per message type, at package
+// level, with NewMsgKind.
+type MsgKind metrics.Slot
+
+// NewMsgKind returns the kind labelled label, declaring it on first
+// use.
+func NewMsgKind(label string) MsgKind { return MsgKind(metrics.NewSlot(metrics.MsgName(label))) }
+
+// Label returns the label the kind was declared with.
+func (k MsgKind) Label() string {
+	return strings.TrimPrefix(metrics.Slot(k).Name(), metrics.MsgName(""))
+}
+
+// otherKind tallies messages without a kind.
+var otherKind = NewMsgKind("other")
+
+// kindOf returns the kind of a message.
+func kindOf(msg interface{}) MsgKind {
 	if k, ok := msg.(Kinded); ok {
 		return k.MsgKind()
 	}
-	return "other"
+	return otherKind
 }
 
 // DefaultMessageBits is the size charged to messages that do not
@@ -184,8 +202,9 @@ type Config struct {
 	// calls Trace.Begin itself.
 	Trace *trace.Recorder
 	// Metrics, if non-nil, receives runtime counters (msgs/type/<kind>
-	// tallies from the scheduler; node programs may add their own via
-	// Node.Metrics). Nil disables the accounting.
+	// tallies from the scheduler; node programs add their own via
+	// Node.Tally), flushed once when the run ends. Nil disables the
+	// accounting.
 	Metrics *metrics.Registry
 	// Transport, if non-nil, carries every same-round delivery as an
 	// encoded wire frame through the given backend (see
@@ -442,10 +461,11 @@ func (nd *Node) Outbox() Outbox {
 	return nd.outSlots
 }
 
-// Metrics returns the run's metrics registry. It is nil when the run
-// was configured without one, which every registry method tolerates,
+// Tally returns the run's dense counters, flushed into
+// Config.Metrics when the run ends. It is nil when the run was
+// configured without a registry, which every tally method tolerates,
 // so instrumented programs call it unconditionally.
-func (nd *Node) Metrics() *metrics.Registry { return nd.rt.cfg.Metrics }
+func (nd *Node) Tally() *metrics.Tally { return nd.rt.tally }
 
 // EmitPhase records the node entering 1-based phase as a member of
 // fragment frag, stamped with the node's next wake round. No-op
@@ -546,11 +566,11 @@ type runtime struct {
 	res    *Result
 	failed error
 
-	// rec mirrors cfg.Trace; kindTally batches per-kind delivery
-	// counts locally (scheduler goroutine only) and is flushed into
-	// cfg.Metrics once at the end of the run.
-	rec       *trace.Recorder
-	kindTally map[string]int64
+	// rec mirrors cfg.Trace; tally holds the run's counters (message
+	// kinds, node program counters) and is flushed into cfg.Metrics
+	// once at the end of the run.
+	rec   *trace.Recorder
+	tally *metrics.Tally
 
 	delayed delayHeap // in-flight messages postponed by the interceptor
 	seq     int64     // FIFO tiebreak for delayed messages
@@ -669,9 +689,7 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		rt.rec = cfg.Trace
 		rt.rec.Begin(n)
 	}
-	if cfg.Metrics != nil {
-		rt.kindTally = make(map[string]int64)
-	}
+	rt.tally = metrics.NewTally(cfg.Metrics)
 	if cfg.Transport != nil {
 		if cfg.Chooser != nil {
 			return nil, errors.New("sim: config cannot combine Transport with Chooser (model checking stays in-memory)")
@@ -710,9 +728,7 @@ func Run(cfg Config, prog Program) (*Result, error) {
 			rt.rec.Lost(d.round, d.from, d.fromPort, d.to)
 		}
 	}
-	for kind, c := range rt.kindTally {
-		cfg.Metrics.Add(metrics.MsgName(kind), c)
-	}
+	rt.tally.Flush()
 	if cfg.Metrics != nil {
 		// Node-averaged awake accounting: the sum and the denominator
 		// are recorded separately so the average stays exact (and
@@ -948,8 +964,8 @@ func (rt *runtime) deposit(round int64, from, fromPort, to, rev int, msg interfa
 	if rt.rec != nil {
 		rt.rec.Deliver(round, to, rev, from)
 	}
-	if rt.kindTally != nil {
-		rt.kindTally[kindOf(msg)]++
+	if rt.tally != nil {
+		rt.tally.Add(metrics.Slot(kindOf(msg)), 1)
 	}
 	rt.nodes[to].in[rev] = msg
 	return nil

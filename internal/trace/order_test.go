@@ -26,15 +26,14 @@ func referenceEvents(r *Recorder) []Event {
 		seq    int64
 	}
 	var all []indexed
-	collect := func(s *stream, id int32) {
-		base := s.seq - int64(s.n)
-		for i := 0; i < s.n; i++ {
-			all = append(all, indexed{ev: s.buf[(s.head+i)%len(s.buf)], stream: id, seq: base + int64(i)})
+	collect := func(evs []Event, id int32) {
+		for i, ev := range evs {
+			all = append(all, indexed{ev: ev, stream: id, seq: int64(i)})
 		}
 	}
-	collect(&r.sched, -1)
-	for i := range r.nodes {
-		collect(&r.nodes[i], int32(i))
+	collect(schedLive(r), -1)
+	for v := range r.nodes {
+		collect(nodeLive(r, v), int32(v))
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := &all[i], &all[j]
@@ -59,6 +58,22 @@ func referenceEvents(r *Recorder) []Event {
 	return out
 }
 
+// schedLive returns the scheduler stream's live events, oldest first.
+func schedLive(r *Recorder) (out []Event) {
+	r.sched.segments(func(seg []schedEvent) {
+		for _, e := range seg {
+			out = append(out, e.event())
+		}
+	})
+	return out
+}
+
+// nodeLive returns node v's live events, oldest first.
+func nodeLive(r *Recorder, v int) (out []Event) {
+	r.nodes[v].segments(func(seg []Event) { out = append(out, seg...) })
+	return out
+}
+
 // schedulerKind reports whether k is recorded on the scheduler stream.
 func schedulerKind(k Kind) bool {
 	return k == KindAwake || k == KindSend || k == KindDeliver || k == KindLost
@@ -68,13 +83,13 @@ func schedulerKind(k Kind) bool {
 // scheduler stream holds only scheduler kinds, and node v's stream
 // holds only node kinds of node v.
 func checkStreams(r *Recorder) error {
-	for _, ev := range r.sched.appendLive(nil) {
+	for _, ev := range schedLive(r) {
 		if !schedulerKind(ev.Kind) {
 			return fmt.Errorf("scheduler stream holds node-side event %v", ev)
 		}
 	}
 	for v := range r.nodes {
-		for _, ev := range r.nodes[v].appendLive(nil) {
+		for _, ev := range nodeLive(r, v) {
 			if schedulerKind(ev.Kind) || int(ev.Node) != v {
 				return fmt.Errorf("node %d stream holds %v", v, ev)
 			}
@@ -93,15 +108,41 @@ func checkStreams(r *Recorder) error {
 // is), and bit 7 swaps in extreme rounds and values. Every coordinate
 // stays within what ReadJSONL accepts (fragments may be negative).
 func recordProgram(data []byte) *Recorder {
-	n, capacity := 3, 0
-	if len(data) >= 2 {
-		n, capacity = 1+int(data[0]%8), 4*int(data[1])
-		data = data[2:]
-	}
-	wide := [...]int64{0, 9, 10, 99, 100, math.MaxInt32, 1 << 32, math.MaxInt64 - 1, math.MaxInt64}
-	signed := [...]int64{math.MinInt64, math.MinInt64 + 1, -1, math.MinInt32, math.MaxInt32, math.MaxInt64}
+	n, capacity, ops := programShape(data)
 	r := NewRecorder(capacity)
 	r.Begin(n)
+	playProgram(ops, n, r)
+	return r
+}
+
+// programShape splits a recordProgram input into its node count,
+// capacity and recording calls.
+func programShape(data []byte) (n, capacity int, ops []byte) {
+	if len(data) < 2 {
+		return 3, 0, data
+	}
+	return 1 + int(data[0]%8), 4 * int(data[1]), data[2:]
+}
+
+// sink is the recording surface of Recorder, so a program can drive
+// the reference recorder too.
+type sink interface {
+	Phase(node int, round int64, phase int, frag int64)
+	StepDone(node int, round int64, phase int, step Step, awake int64)
+	Merge(node int, round int64, prev, frag int64)
+	Sleep(node int, lastAwake, wake int64)
+	Awake(round int64, node int)
+	Send(round int64, from, port, to int)
+	Deliver(round int64, to, port, from int)
+	Lost(round int64, from, port, to int)
+	Crash(node int, round int64)
+	Nbrs(node int, round int64, phase int, deg int)
+}
+
+// playProgram makes the recording calls of ops on n nodes.
+func playProgram(data []byte, n int, r sink) {
+	wide := [...]int64{0, 9, 10, 99, 100, math.MaxInt32, 1 << 32, math.MaxInt64 - 1, math.MaxInt64}
+	signed := [...]int64{math.MinInt64, math.MinInt64 + 1, -1, math.MinInt32, math.MaxInt32, math.MaxInt64}
 	round := int64(1)
 	for ; len(data) >= 4; data = data[4:] {
 		op, v, b, c := data[0], int(data[1])%n, data[2], data[3]
@@ -139,7 +180,6 @@ func recordProgram(data []byte) *Recorder {
 			r.Nbrs(v, at, small, int(val))
 		}
 	}
-	return r
 }
 
 // randomProgram returns a recordProgram input of ops calls. Extreme
@@ -234,14 +274,14 @@ func TestStreamKindsDisjoint(t *testing.T) {
 	if err := checkStreams(r); err != nil {
 		t.Fatal(err)
 	}
-	kinds := func(s *stream) (ks []Kind) {
-		for _, ev := range s.appendLive(nil) {
+	kinds := func(evs []Event) (ks []Kind) {
+		for _, ev := range evs {
 			ks = append(ks, ev.Kind)
 		}
 		slices.Sort(ks)
 		return ks
 	}
-	sched, node := kinds(&r.sched), kinds(&r.nodes[v])
+	sched, node := kinds(schedLive(r)), kinds(nodeLive(r, v))
 	if want := []Kind{KindAwake, KindSend, KindDeliver, KindLost}; !slices.Equal(sched, want) {
 		t.Errorf("scheduler stream kinds %v, want %v", sched, want)
 	}

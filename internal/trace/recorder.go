@@ -207,34 +207,84 @@ type Event struct {
 // DefaultCapacity is the recorder's default total event capacity.
 const DefaultCapacity = 1 << 18
 
-// stream is one bounded ring of events, written by exactly one
-// goroutine at a time (see Recorder).
-type stream struct {
-	buf     []Event
-	head    int   // index of the oldest event
-	n       int   // live events
-	seq     int64 // total events ever appended
+// schedEvent is the compact form of a scheduler-side event (awake,
+// send, deliver, lost): the only fields those kinds use, 24 bytes
+// against Event's 56. Events expands it.
+type schedEvent struct {
+	round            int64
+	node, port, peer int32
+	kind             Kind
+}
+
+func (e schedEvent) event() Event {
+	return Event{Round: e.round, Node: e.node, Port: e.port, Peer: e.peer, Kind: e.kind}
+}
+
+// Chunk sizes (as shifts) of the scheduler stream and of a node
+// stream. A stream allocates a chunk the first time it writes into it,
+// so storage follows the events actually recorded, and it never moves
+// a chunk once written.
+const (
+	schedChunkShift = 12
+	nodeChunkShift  = 6
+)
+
+// ring is one bounded stream of events, written by exactly one
+// goroutine at a time (see Recorder). Its cap slots live in chunks of
+// 1<<shift; once all cap slots hold an event, each push overwrites the
+// oldest one.
+type ring[T any] struct {
+	chunks  [][]T
+	shift   uint8
+	cap     int
+	next    int // slot of the next push
+	n       int // live events
 	dropped int64
 }
 
 // push appends an event, evicting the oldest when the ring is full.
-func (s *stream) push(cap int, ev Event) {
-	if len(s.buf) < cap {
-		s.buf = append(s.buf, ev)
+func (s *ring[T]) push(ev T) {
+	c := s.next >> s.shift
+	if c == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, min(1<<s.shift, s.cap-s.next)))
+	}
+	s.chunks[c][s.next&(1<<s.shift-1)] = ev
+	if s.next++; s.next == s.cap {
+		s.next = 0
+	}
+	if s.n < s.cap {
 		s.n++
-		s.seq++
-		return
-	}
-	if s.n == len(s.buf) { // full: overwrite the oldest
-		s.buf[s.head] = ev
-		s.head = (s.head + 1) % len(s.buf)
+	} else {
 		s.dropped++
-		s.seq++
-		return
 	}
-	s.buf[(s.head+s.n)%len(s.buf)] = ev
-	s.n++
-	s.seq++
+}
+
+// at returns the i-th live event, oldest first. The slot index is
+// next-n+i, below next, so it wraps only below zero.
+func (s *ring[T]) at(i int) T {
+	if i += s.next - s.n; i < 0 {
+		i += s.cap
+	}
+	return s.chunks[i>>s.shift][i&(1<<s.shift-1)]
+}
+
+// segments calls f on the live events, oldest first, one run of
+// consecutive slots at a time.
+func (s *ring[T]) segments(f func([]T)) {
+	first := s.next - s.n
+	if first < 0 {
+		first += s.cap
+	}
+	for i, left := first, s.n; left > 0; {
+		chunk := s.chunks[i>>s.shift]
+		off := i & (1<<s.shift - 1)
+		seg := chunk[off:min(len(chunk), off+left)]
+		f(seg)
+		left -= len(seg)
+		if i += len(seg); i == s.cap {
+			i = 0
+		}
+	}
 }
 
 // Recorder is a bounded, allocation-limited structured event recorder
@@ -251,10 +301,8 @@ type Recorder struct {
 	capacity int
 	n        int
 	rounds   int64
-	sched    stream   // scheduler-side events
-	nodes    []stream // per-node events
-	schedCap int
-	nodeCap  int
+	sched    ring[schedEvent] // scheduler-side events
+	nodes    []ring[Event]    // per-node events
 }
 
 // NewRecorder returns a Recorder whose event budget is capacity (0
@@ -278,15 +326,11 @@ func NewRecorder(capacity int) *Recorder {
 func (r *Recorder) Begin(n int) {
 	r.n = n
 	r.rounds = 0
-	r.sched = stream{}
-	r.nodes = make([]stream, n)
-	r.schedCap = r.capacity / 2
-	if r.schedCap < 64 {
-		r.schedCap = 64
-	}
-	r.nodeCap = r.capacity / 2 / n
-	if r.nodeCap < 64 {
-		r.nodeCap = 64
+	r.sched = ring[schedEvent]{cap: max(r.capacity/2, 64), shift: schedChunkShift}
+	r.nodes = make([]ring[Event], n)
+	nodeCap := max(r.capacity/2/n, 64)
+	for i := range r.nodes {
+		r.nodes[i] = ring[Event]{cap: nodeCap, shift: nodeChunkShift}
 	}
 }
 
@@ -320,24 +364,24 @@ func (r *Recorder) Awake(round int64, node int) {
 	if round > r.rounds {
 		r.rounds = round
 	}
-	r.sched.push(r.schedCap, Event{Kind: KindAwake, Round: round, Node: int32(node)})
+	r.sched.push(schedEvent{kind: KindAwake, round: round, node: int32(node)})
 }
 
 // Send records one staged message: from sends on its port towards to.
 // Scheduler side.
 func (r *Recorder) Send(round int64, from, port, to int) {
-	r.sched.push(r.schedCap, Event{Kind: KindSend, Round: round, Node: int32(from), Port: int32(port), Peer: int32(to)})
+	r.sched.push(schedEvent{kind: KindSend, round: round, node: int32(from), port: int32(port), peer: int32(to)})
 }
 
 // Deliver records a message reaching awake receiver to on its port
 // (the reverse port of the send), sent by from. Scheduler side.
 func (r *Recorder) Deliver(round int64, to, port, from int) {
-	r.sched.push(r.schedCap, Event{Kind: KindDeliver, Round: round, Node: int32(to), Port: int32(port), Peer: int32(from)})
+	r.sched.push(schedEvent{kind: KindDeliver, round: round, node: int32(to), port: int32(port), peer: int32(from)})
 }
 
 // Lost records a message copy that reached no one. Scheduler side.
 func (r *Recorder) Lost(round int64, from, port, to int) {
-	r.sched.push(r.schedCap, Event{Kind: KindLost, Round: round, Node: int32(from), Port: int32(port), Peer: int32(to)})
+	r.sched.push(schedEvent{kind: KindLost, round: round, node: int32(from), port: int32(port), peer: int32(to)})
 }
 
 // Sleep records a real sleep gap for node: it was last awake in
@@ -345,38 +389,38 @@ func (r *Recorder) Lost(round int64, from, port, to int) {
 // scheduler while the node is parked, so it shares the node's stream
 // without racing the node goroutine.
 func (r *Recorder) Sleep(node int, lastAwake, wake int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindSleep, Round: wake, Node: int32(node), Aux: lastAwake})
+	r.nodes[node].push(Event{Kind: KindSleep, Round: wake, Node: int32(node), Aux: lastAwake})
 }
 
 // Crash records node being crash-stopped from round onward. Called by
 // the scheduler while the node is parked.
 func (r *Recorder) Crash(node int, round int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindCrash, Round: round, Node: int32(node)})
+	r.nodes[node].push(Event{Kind: KindCrash, Round: round, Node: int32(node)})
 }
 
 // Phase records node entering 1-based phase as a member of fragment
 // frag, with round its first wake round of the phase. Node side.
 func (r *Recorder) Phase(node int, round int64, phase int, frag int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindPhase, Round: round, Node: int32(node), Phase: int32(phase), Frag: frag})
+	r.nodes[node].push(Event{Kind: KindPhase, Round: round, Node: int32(node), Phase: int32(phase), Frag: frag})
 }
 
 // StepDone records node finishing a phase step having spent awake
 // rounds on it; round is the node's next wake round. Node side.
 func (r *Recorder) StepDone(node int, round int64, phase int, step Step, awake int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindStep, Round: round, Node: int32(node), Phase: int32(phase), Step: step, Aux: awake})
+	r.nodes[node].push(Event{Kind: KindStep, Round: round, Node: int32(node), Phase: int32(phase), Step: step, Aux: awake})
 }
 
 // Merge records node moving from fragment prev to fragment frag;
 // round is the node's next wake round. Node side.
 func (r *Recorder) Merge(node int, round int64, prev, frag int64) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindMerge, Round: round, Node: int32(node), Frag: frag, Prev: prev})
+	r.nodes[node].push(Event{Kind: KindMerge, Round: round, Node: int32(node), Frag: frag, Prev: prev})
 }
 
 // Nbrs records a fragment root's supergraph degree deg (its NBR-INFO
 // entry count) in the given phase; round is the node's next wake
 // round. Node side.
 func (r *Recorder) Nbrs(node int, round int64, phase int, deg int) {
-	r.nodes[node].push(r.nodeCap, Event{Kind: KindNbrs, Round: round, Node: int32(node), Phase: int32(phase), Aux: int64(deg)})
+	r.nodes[node].push(Event{Kind: KindNbrs, Round: round, Node: int32(node), Phase: int32(phase), Aux: int64(deg)})
 }
 
 // Events returns the live events in canonical order: ascending
@@ -384,62 +428,48 @@ func (r *Recorder) Nbrs(node int, round int64, phase int, deg int) {
 // scheduler stream ranks before the node streams and those rank by
 // node. The order is total and deterministic for a fixed-seed run,
 // which is what makes the JSONL stream byte-identical across repeats
-// and worker counts.
+// and worker counts. Each call builds a fresh slice.
 //
 // The stream coordinates never need comparing. Scheduler kinds
 // (awake, send, deliver, lost) and node kinds (the rest) are
 // disjoint, and node v's stream holds only node v's events, so events
-// that tie on (Round, Node, Kind) always come from one stream.
-// Collecting the streams in (stream, sequence) order and breaking
-// (Round, Node, Kind) ties by collection position therefore yields
-// exactly the canonical order. Events packs those four coordinates
-// into one uint64 key per event (round and node offset by their
-// minimum, each field as wide as its observed range needs) and sorts
-// the keys; when the fields do not fit in 64 bits it falls back to a
-// stable sort on (Round, Node, Kind). Besides the result, the only
-// scratch is the key slice.
+// that tie on (Round, Node, Kind) always come from one stream, where
+// the sequence decides. Events therefore packs (Round, Node, Kind,
+// sequence) into one uint64 key per event — round and node offset by
+// their minimum, each field as wide as its observed range needs — and
+// the key alone locates the event: the kind names its stream side, the
+// node its node stream, the sequence its slot. It radix-sorts the keys
+// on the fields above the sequence, keeping stream order among ties,
+// and reads the events out in key order. When the fields do not fit
+// in 64 bits it falls back to a stable sort on (Round, Node, Kind).
 func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, r.Len())
-	out = r.sched.appendLive(out)
+	var b keyBounds
+	longest := r.sched.n
+	r.sched.segments(func(seg []schedEvent) {
+		for _, e := range seg {
+			b.add(e.round, e.node, e.kind)
+		}
+	})
 	for i := range r.nodes {
-		out = r.nodes[i].appendLive(out)
+		longest = max(longest, r.nodes[i].n)
+		r.nodes[i].segments(func(seg []Event) {
+			for _, e := range seg {
+				b.add(e.Round, e.Node, e.Kind)
+			}
+		})
 	}
-	sortCanonical(out)
-	return out
-}
-
-// appendLive appends the stream's live events, oldest first.
-func (s *stream) appendLive(dst []Event) []Event {
-	end := s.head + s.n
-	if end <= len(s.buf) {
-		return append(dst, s.buf[s.head:end]...)
-	}
-	dst = append(dst, s.buf[s.head:]...)
-	return append(dst, s.buf[:end-len(s.buf)]...)
-}
-
-// sortCanonical sorts events collected in (stream, sequence) order by
-// (Round, Node, Kind), keeping collection order among ties.
-func sortCanonical(evs []Event) {
-	if len(evs) < 2 {
-		return
-	}
-	minR, maxR := evs[0].Round, evs[0].Round
-	minV, maxV := evs[0].Node, evs[0].Node
-	maxK := evs[0].Kind
-	for i := range evs {
-		ev := &evs[i]
-		minR, maxR = min(minR, ev.Round), max(maxR, ev.Round)
-		minV, maxV = min(minV, ev.Node), max(maxV, ev.Node)
-		maxK = max(maxK, ev.Kind)
-	}
-	// Differences in unsigned arithmetic are exact: max >= min.
-	posBits := bits.Len(uint(len(evs) - 1))
-	kindShift := posBits
-	nodeShift := kindShift + bits.Len8(uint8(maxK))
-	roundShift := nodeShift + bits.Len32(uint32(maxV)-uint32(minV))
-	if roundShift+bits.Len64(uint64(maxR)-uint64(minR)) > 64 {
-		slices.SortStableFunc(evs, func(a, b Event) int {
+	out := make([]Event, 0, r.Len())
+	k, ok := b.layout(longest)
+	if !ok {
+		r.sched.segments(func(seg []schedEvent) {
+			for _, e := range seg {
+				out = append(out, e.event())
+			}
+		})
+		for i := range r.nodes {
+			r.nodes[i].segments(func(seg []Event) { out = append(out, seg...) })
+		}
+		slices.SortStableFunc(out, func(a, b Event) int {
 			if c := cmp.Compare(a.Round, b.Round); c != 0 {
 				return c
 			}
@@ -448,36 +478,125 @@ func sortCanonical(evs []Event) {
 			}
 			return cmp.Compare(a.Kind, b.Kind)
 		})
+		return out
+	}
+	keys := make([]uint64, 0, cap(out))
+	seq := uint64(0)
+	r.sched.segments(func(seg []schedEvent) {
+		for _, e := range seg {
+			keys = append(keys, k.key(e.round, e.node, e.kind)|seq)
+			seq++
+		}
+	})
+	for i := range r.nodes {
+		seq = 0
+		r.nodes[i].segments(func(seg []Event) {
+			for _, e := range seg {
+				keys = append(keys, k.key(e.Round, e.Node, e.Kind)|seq)
+				seq++
+			}
+		})
+	}
+	radixSort(keys, k.kindShift, k.bits)
+	seqMask := uint64(1)<<k.kindShift - 1
+	kindMask := uint64(1)<<(k.nodeShift-k.kindShift) - 1
+	nodeMask := uint64(1)<<(k.roundShift-k.nodeShift) - 1
+	for _, key := range keys {
+		i := int(key & seqMask)
+		if isSchedKind(Kind(key >> k.kindShift & kindMask)) {
+			out = append(out, r.sched.at(i).event())
+		} else {
+			v := int32(key>>k.nodeShift&nodeMask) + k.minV
+			out = append(out, r.nodes[v].at(i))
+		}
+	}
+	return out
+}
+
+// isSchedKind reports whether kind k is recorded on the scheduler
+// stream.
+func isSchedKind(k Kind) bool { return k >= KindAwake && k <= KindLost }
+
+// keyBounds collects the ranges of the canonical key fields.
+type keyBounds struct {
+	n          int
+	minR, maxR int64
+	minV, maxV int32
+	maxK       Kind
+}
+
+func (b *keyBounds) add(round int64, node int32, kind Kind) {
+	if b.n == 0 {
+		b.minR, b.maxR, b.minV, b.maxV = round, round, node, node
+	}
+	b.n++
+	b.minR, b.maxR = min(b.minR, round), max(b.maxR, round)
+	b.minV, b.maxV = min(b.minV, node), max(b.maxV, node)
+	b.maxK = max(b.maxK, kind)
+}
+
+// keyLayout places the fields of the packed canonical key, from the
+// top: round, node and kind, then the per-stream sequence.
+type keyLayout struct {
+	minR                             int64
+	minV                             int32
+	kindShift, nodeShift, roundShift int
+	bits                             int
+}
+
+// layout returns the key layout for streams of at most longest
+// events, or false when the fields need more than 64 bits. Differences
+// in unsigned arithmetic are exact: max >= min.
+func (b *keyBounds) layout(longest int) (keyLayout, bool) {
+	k := keyLayout{minR: b.minR, minV: b.minV}
+	k.kindShift = bits.Len(uint(max(longest, 1) - 1))
+	k.nodeShift = k.kindShift + bits.Len8(uint8(b.maxK))
+	k.roundShift = k.nodeShift + bits.Len32(uint32(b.maxV)-uint32(b.minV))
+	k.bits = k.roundShift + bits.Len64(uint64(b.maxR)-uint64(b.minR))
+	return k, k.bits <= 64
+}
+
+func (k *keyLayout) key(round int64, node int32, kind Kind) uint64 {
+	return (uint64(round)-uint64(k.minR))<<k.roundShift |
+		uint64(uint32(node)-uint32(k.minV))<<k.nodeShift |
+		uint64(kind)<<k.kindShift
+}
+
+// radixSort sorts keys on bits [lo, hi) with stable least-significant
+// digit passes of at most 11 bits, O(len(keys)) each; keys equal on
+// those bits keep their order, and a pass whose digit is the same in
+// every key is skipped.
+func radixSort(keys []uint64, lo, hi int) {
+	if len(keys) < 2 || hi <= lo {
 		return
 	}
-	keys := make([]uint64, len(evs))
-	for i := range evs {
-		ev := &evs[i]
-		keys[i] = (uint64(ev.Round)-uint64(minR))<<roundShift |
-			uint64(uint32(ev.Node)-uint32(minV))<<nodeShift |
-			uint64(ev.Kind)<<kindShift | uint64(i)
-	}
-	slices.Sort(keys)
-	// Permute in place along cycles: slot i takes the event from
-	// position keys[i]&pos; a finished slot's key is reset to its own
-	// index so the outer loop skips it.
-	pos := uint64(1)<<posBits - 1
-	for i := range keys {
-		if int(keys[i]&pos) == i {
+	passes := (hi - lo + 10) / 11
+	width := (hi - lo + passes - 1) / passes
+	mask := uint64(1)<<width - 1
+	count := make([]int, 1<<width)
+	src, dst := keys, make([]uint64, len(keys))
+	for shift := lo; shift < hi; shift += width {
+		clear(count)
+		for _, k := range src {
+			count[k>>shift&mask]++
+		}
+		if count[src[0]>>shift&mask] == len(src) {
 			continue
 		}
-		held := evs[i]
-		j := i
-		for {
-			k := int(keys[j] & pos)
-			keys[j] = uint64(j)
-			if k == i {
-				evs[j] = held
-				break
-			}
-			evs[j] = evs[k]
-			j = k
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
 		}
+		for _, k := range src {
+			d := k >> shift & mask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
 	}
 }
 

@@ -74,7 +74,7 @@ func main() {
 		probName  = flag.String("problem", "mst/randomized", "problem to serve (qualified name such as mst/randomized or mis, or a bare MST alias)")
 		txName    = flag.String("transport", "tcp", "wire backend: tcp (real loopback sockets, default) or inproc")
 		retries   = flag.Int("retries", transport.DefaultRetries, "per-frame send retry budget (masks injected drops; 0 = single-attempt sends, drops are permanent)")
-		timeout   = flag.Duration("timeout", transport.DefaultRecvTimeout, "round-barrier receive deadline")
+		timeout   = flag.Duration("timeout", transport.DefaultRecvTimeout, "round-barrier receive deadline of the tcp transport (inproc never waits: a missing frame fails at once)")
 		dropProb  = flag.Float64("drop", 0, "injected per-attempt wire drop probability in [0,1]")
 		delayProb = flag.Float64("delay", 0, "injected per-frame wire delay probability in [0,1]")
 		maxDelay  = flag.Duration("max-delay", 2*time.Millisecond, "injected delay upper bound")
@@ -235,8 +235,8 @@ func serve(graphKind string, n, m, rows int, radius float64, seed int64,
 	return nil
 }
 
-// buildTransport constructs the named backend with the service's
-// retry/deadline settings.
+// buildTransport constructs the named backend; the retry budget and
+// receive deadline configure tcp.
 func buildTransport(name string, retries int, timeout time.Duration) (sleepmst.Transport, error) {
 	switch name {
 	case "tcp":
@@ -247,9 +247,7 @@ func buildTransport(name string, retries int, timeout time.Duration) (sleepmst.T
 		}
 		return transport.NewTCP(transport.TCPConfig{Retries: retries, RecvTimeout: timeout}), nil
 	case "inproc":
-		t := transport.NewInproc()
-		t.RecvTimeout = timeout
-		return t, nil
+		return transport.NewInproc(), nil
 	default:
 		return nil, fmt.Errorf("unknown transport %q (want tcp or inproc)", name)
 	}

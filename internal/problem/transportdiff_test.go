@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -204,6 +205,43 @@ func (l *dupLink) Send(f transport.Frame) error {
 	return l.inner.Send(f)
 }
 
+// reverseTransport hands each receiver's frames out last-first:
+// whenever its buffer for a node is empty, Recv pulls every frame the
+// wrapped backend holds for the node and serves them in reverse.
+// Over Inproc, which queues a round's frames before the drain starts
+// and answers an empty queue at once, that reverses each round's
+// frames, duplicates included — the drain must sort, keep one copy of
+// each send whatever its arrival position, and never decode a stale
+// duplicate held over from a drained round.
+type reverseTransport struct {
+	transport.Transport
+	held [][]transport.Frame
+}
+
+func (r *reverseTransport) Listen(n int) error {
+	r.held = make([][]transport.Frame, n)
+	return r.Transport.Listen(n)
+}
+
+func (r *reverseTransport) Recv(to int) (transport.Frame, error) {
+	if len(r.held[to]) == 0 {
+		for {
+			f, err := r.Transport.Recv(to)
+			if err != nil {
+				if len(r.held[to]) == 0 {
+					return f, err
+				}
+				break
+			}
+			r.held[to] = append(r.held[to], f)
+		}
+		slices.Reverse(r.held[to])
+	}
+	f := r.held[to][0]
+	r.held[to] = r.held[to][1:]
+	return f, nil
+}
+
 // TestTransportDuplicateDelivery pins the receiver-side dedup: TCP
 // redial-and-resend can deliver a frame twice (a send error does not
 // prove loss), and the drain must not let a duplicate displace a real
@@ -213,7 +251,10 @@ func (l *dupLink) Send(f transport.Frame) error {
 // sweep, that mode only demands byte-identical behavior (chaos may
 // legitimately break the algorithm, but it must break both runs
 // identically — before the dedup fix the dup wire aborted with
-// "drained stray frame" errors the plain run never produced).
+// "drained stray frame" errors the plain run never produced). Each
+// cell runs the dup wire twice: in arrival order, and with every
+// round's frames reversed (reverseTransport), which takes the drain
+// off its already-sorted fast path.
 func TestTransportDuplicateDelivery(t *testing.T) {
 	for _, name := range []string{"mst/randomized", "mis"} {
 		p, err := problem.Lookup(name)
@@ -240,10 +281,12 @@ func TestTransportDuplicateDelivery(t *testing.T) {
 				}
 				plain := run(nil)
 				dup := run(dupTransport{transport.NewInproc()})
+				reversed := run(dupTransport{&reverseTransport{Transport: transport.NewInproc()}})
 				if !withDelays && plain.err != nil {
 					t.Fatalf("plain run failed: %v", plain.err)
 				}
 				diffTxCompare(t, "plain", "dup-wire", plain, dup)
+				diffTxCompare(t, "plain", "reversed-dup-wire", plain, reversed)
 			})
 		}
 	}

@@ -697,7 +697,7 @@ func Run(cfg Config, prog Program) (*Result, error) {
 		if err := cfg.Transport.Listen(n); err != nil {
 			return nil, fmt.Errorf("sim: transport listen: %w", err)
 		}
-		rt.tx = newTxState(cfg.Transport, n)
+		rt.tx = newTxState(cfg.Transport, cfg.Graph)
 	}
 	// One contiguous node arena (struct-of-arrays style bookkeeping
 	// lives in rt.res and the engines; the program-facing handles sit

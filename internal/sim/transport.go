@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"sleepmst/internal/graph"
 	"sleepmst/internal/transport"
 )
 
@@ -29,27 +31,31 @@ import (
 // txState is the per-run transport bookkeeping, owned by the
 // scheduler goroutine.
 type txState struct {
-	tx    transport.Transport
-	n     int
-	links map[int64]transport.Link
+	tx transport.Transport
+	// links[portBase[v]+p] is the link node v sends on through port
+	// p, dialed on first use; the port slots number like the slot
+	// arena's, one per port of the graph.
+	links    []transport.Link
+	portBase []int
 	// expect[v] counts frames shipped towards v this round; pending
 	// lists the v with expect[v] > 0.
 	expect  []int
 	pending []int
-	frames  []transport.Frame     // drain scratch
-	seen    map[frameKey]struct{} // per-drain dedup scratch
+	// slab holds this round's encoded payloads; the drain decodes
+	// them through dec and then recycles the slab (see Transport).
+	slab   transport.Slab
+	dec    transport.Reader
+	frames []transport.Frame // drain scratch
 }
 
-// frameKey identifies one routed copy within a (round, receiver)
-// drain: fresh sends are unique per (sender, port), delayed replays
-// per FIFO sequence, so two frames sharing a key are wire duplicates.
-type frameKey struct {
-	seq        int64
-	from, port int32
-}
-
-func newTxState(tx transport.Transport, n int) *txState {
-	return &txState{tx: tx, n: n, links: make(map[int64]transport.Link), expect: make([]int, n)}
+func newTxState(tx transport.Transport, g *graph.Graph) *txState {
+	n := g.N()
+	s := &txState{tx: tx, links: make([]transport.Link, 2*g.M()), portBase: make([]int, n), expect: make([]int, n)}
+	for v, base := 0, 0; v < n; v++ {
+		s.portBase[v] = base
+		base += g.Degree(v)
+	}
+	return s
 }
 
 // route carries one message copy towards an awake receiver: straight
@@ -66,22 +72,20 @@ func (rt *runtime) route(round, seq int64, from, fromPort, to, rev int, msg inte
 	return nil
 }
 
-// ship encodes the payload and hands the frame to the backend.
-func (s *txState) ship(round, seq int64, from, fromPort, to, rev int, msg interface{}) (err error) {
-	defer transport.RecoverEncode(&err)
-	// Each frame owns its payload: backends hold the slice until the
-	// drain, so the encode buffer cannot be recycled across sends.
-	payload, err := transport.EncodeMessage(nil, msg)
+// ship encodes the payload into the slab and hands the frame to the
+// backend.
+func (s *txState) ship(round, seq int64, from, fromPort, to, rev int, msg interface{}) error {
+	payload, err := s.slab.Encode(msg)
 	if err != nil {
 		return err
 	}
-	key := int64(from)*int64(s.n) + int64(to)
-	link, ok := s.links[key]
-	if !ok {
+	slot := s.portBase[from] + fromPort
+	link := s.links[slot]
+	if link == nil {
 		if link, err = s.tx.Dial(from, to); err != nil {
 			return err
 		}
-		s.links[key] = link
+		s.links[slot] = link
 	}
 	f := transport.Frame{
 		Round: round, Seq: seq,
@@ -106,23 +110,47 @@ func (rt *runtime) txDrain(round int64) error {
 	if len(s.pending) == 0 {
 		return nil
 	}
-	sort.Ints(s.pending)
-	if s.seen == nil {
-		s.seen = make(map[frameKey]struct{})
-	}
+	slices.Sort(s.pending)
 	for _, to := range s.pending {
 		want := s.expect[to]
 		s.expect[to] = 0
-		s.frames = s.frames[:0]
-		clear(s.seen)
-		// Drain-and-filter until `want` distinct frames arrive: the wire
-		// is at-least-once (a sender's retry can duplicate a frame that
-		// did reach us before the write error surfaced), so duplicates —
-		// same coordinates this round, or a stale retransmit of an
-		// earlier round — are dropped without counting toward want.
-		for len(s.frames) < want {
+		if err := s.receive(round, to, want); err != nil {
+			return err
+		}
+		for _, f := range s.frames {
+			msg, err := s.dec.DecodePayload(f.Payload)
+			if err != nil {
+				return fmt.Errorf("sim: transport: node %d round %d: %w (%w)", to, round, err, ErrAborted)
+			}
+			if err := rt.deposit(round, int(f.From), int(f.Port), int(f.To), int(f.Rev), msg); err != nil {
+				return err
+			}
+		}
+	}
+	s.pending = s.pending[:0]
+	// Every payload of the round is decoded; copies still held by the
+	// backend are duplicates, skipped as stale before any decode.
+	s.slab.Reset()
+	return nil
+}
+
+// receive reads node to's frames of this round until want distinct
+// copies arrived and leaves them in s.frames in canonical order. The
+// wire is at-least-once (a sender's retry can duplicate a frame that
+// did reach us before the write error surfaced), so duplicates — same
+// coordinates this round, or a stale retransmit of an earlier round —
+// are dropped without counting toward want, and of a same-round
+// duplicate the first copy to arrive is kept.
+func (s *txState) receive(round int64, to, want int) error {
+	s.frames = s.frames[:0]
+	for len(s.frames) < want {
+		// Read only the copies still missing: duplicates among them
+		// show after the compaction below, so the loop never reads
+		// past the want-th distinct frame.
+		for need := want - len(s.frames); need > 0; {
 			f, err := s.tx.Recv(to)
 			if err != nil {
+				s.canonicalize()
 				return fmt.Errorf("sim: transport: round %d node %d: received %d of %d frame(s): %w (%w)",
 					round, to, len(s.frames), want, err, ErrAborted)
 			}
@@ -133,40 +161,40 @@ func (rt *runtime) txDrain(round int64) error {
 			if f.Round < round {
 				continue // stale duplicate of an already-drained round
 			}
-			key := frameKey{seq: f.Seq, from: f.From, port: f.Port}
-			if _, dup := s.seen[key]; dup {
-				continue // same-round wire duplicate
-			}
-			s.seen[key] = struct{}{}
 			s.frames = append(s.frames, f)
+			need--
 		}
-		// Canonical deposit order: scheduler-delayed copies first, in
-		// their FIFO sequence, then fresh sends by (sender, port) — the
-		// order the in-memory path deposits in, so a fresh message
-		// overwrites a stale same-port replay, not vice versa.
-		sort.Slice(s.frames, func(i, j int) bool {
-			a, b := s.frames[i], s.frames[j]
-			if (a.Seq > 0) != (b.Seq > 0) {
-				return a.Seq > 0
-			}
-			if a.Seq > 0 {
-				return a.Seq < b.Seq
-			}
-			if a.From != b.From {
-				return a.From < b.From
-			}
-			return a.Port < b.Port
-		})
-		for _, f := range s.frames {
-			msg, err := transport.DecodePayload(f.Payload)
-			if err != nil {
-				return fmt.Errorf("sim: transport: node %d round %d: %w (%w)", to, round, err, ErrAborted)
-			}
-			if err := rt.deposit(round, int(f.From), int(f.Port), int(f.To), int(f.Rev), msg); err != nil {
-				return err
-			}
+		s.canonicalize()
+	}
+	return nil
+}
+
+// canonicalize sorts s.frames into the canonical deposit order and
+// drops same-round duplicates. The sort is stable, so the first copy
+// to arrive is the one kept. Frames already in strictly increasing
+// order hold no duplicates; a backend that delivers in order (Inproc)
+// pays only that scan.
+func (s *txState) canonicalize() {
+	for i := 1; i < len(s.frames); i++ {
+		if canonical(s.frames[i-1], s.frames[i]) >= 0 {
+			slices.SortStableFunc(s.frames, canonical)
+			s.frames = slices.CompactFunc(s.frames, func(a, b transport.Frame) bool { return canonical(a, b) == 0 })
+			return
 		}
 	}
-	s.pending = s.pending[:0]
-	return nil
+}
+
+// canonical orders one receiver's frames as the in-memory path
+// deposits them: scheduler-delayed copies first, in their FIFO
+// sequence, then fresh sends by (sender, port) — so a fresh message
+// overwrites a stale same-port replay, not vice versa. Seq-1 as an
+// unsigned number puts the fresh sends' Seq 0 last. Frames comparing
+// equal are copies of one send: fresh sends are unique per (sender,
+// port), delayed replays per FIFO sequence.
+func canonical(a, b transport.Frame) int {
+	return cmp.Or(
+		cmp.Compare(uint64(a.Seq-1), uint64(b.Seq-1)),
+		cmp.Compare(a.From, b.From),
+		cmp.Compare(a.Port, b.Port),
+	)
 }

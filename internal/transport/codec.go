@@ -5,9 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"reflect"
-	"sort"
-	"sync"
 )
 
 // The wire codec. Every message type that crosses a transport
@@ -42,22 +41,27 @@ type Codec struct {
 	Decode func(r *Reader) interface{}
 }
 
+// The registry is written only by Register, which runs from package
+// init functions: after init it is read-only, so the per-frame lookups
+// in encode and decode take no lock. codecsByKind is indexed by kind
+// (nil where no codec is registered).
 var (
-	codecMu      sync.RWMutex
-	codecsByKind = map[uint16]*Codec{}
+	codecsByKind []*Codec
 	codecsByType = map[reflect.Type]*Codec{}
 )
 
-// Register installs a message codec. It panics on a duplicate kind or
-// type — registration is an init-time programming contract, not a
-// runtime condition.
+// Register installs a message codec. Call it from an init function
+// only: the registry is read without locking once init is over. It
+// panics on a duplicate kind or type — registration is an init-time
+// programming contract, not a runtime condition.
 func Register(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
 	if c.Kind == KindNil {
 		panic(fmt.Sprintf("transport: codec %q claims reserved kind 0", c.Name))
 	}
-	if prev, ok := codecsByKind[c.Kind]; ok {
+	if int(c.Kind) >= len(codecsByKind) {
+		codecsByKind = append(codecsByKind, make([]*Codec, int(c.Kind)+1-len(codecsByKind))...)
+	}
+	if prev := codecsByKind[c.Kind]; prev != nil {
 		panic(fmt.Sprintf("transport: codec kind %d already registered as %q", c.Kind, prev.Name))
 	}
 	if prev, ok := codecsByType[c.Type]; ok {
@@ -68,40 +72,32 @@ func Register(c Codec) {
 	codecsByType[c.Type] = &cp
 }
 
-// RegisteredKinds returns the registered codec names sorted by kind,
-// for diagnostics and registration-coverage tests.
-func RegisteredKinds() []string {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	kinds := make([]int, 0, len(codecsByKind))
-	for k := range codecsByKind {
-		kinds = append(kinds, int(k))
-	}
-	sort.Ints(kinds)
-	out := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		out = append(out, fmt.Sprintf("%d:%s", k, codecsByKind[uint16(k)].Name))
-	}
-	return out
-}
-
 // EncodeMessage appends the self-describing encoding of msg (uvarint
 // kind + body) to buf and returns the extended slice. A nil msg
 // encodes as KindNil; an unregistered type is an error — the caller
 // aborts the run rather than ship an inexpressible payload.
 func EncodeMessage(buf []byte, msg interface{}) ([]byte, error) {
-	if msg == nil {
-		return binary.AppendUvarint(buf, KindNil), nil
+	w := Writer{buf: buf}
+	if err := w.message(msg); err != nil {
+		return nil, err
 	}
-	codecMu.RLock()
-	c, ok := codecsByType[reflect.TypeOf(msg)]
-	codecMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("transport: no codec registered for message type %T", msg)
-	}
-	w := Writer{buf: binary.AppendUvarint(buf, uint64(c.Kind))}
-	c.Encode(msg, &w)
 	return w.buf, nil
+}
+
+// message appends the self-describing encoding of msg to w in place;
+// nested messages (Writer.Nested) extend the same buffer.
+func (w *Writer) message(msg interface{}) error {
+	if msg == nil {
+		w.Uint(KindNil)
+		return nil
+	}
+	c, ok := codecsByType[reflect.TypeOf(msg)]
+	if !ok {
+		return fmt.Errorf("transport: no codec registered for message type %T", msg)
+	}
+	w.Uint(uint64(c.Kind))
+	c.Encode(msg, w)
+	return nil
 }
 
 // DecodeMessage reads one self-describing message from r. It returns
@@ -115,10 +111,11 @@ func DecodeMessage(r *Reader) (interface{}, error) {
 	if kind == KindNil {
 		return nil, nil
 	}
-	codecMu.RLock()
-	c, ok := codecsByKind[uint16(kind)]
-	codecMu.RUnlock()
-	if !ok || kind > 1<<16-1 {
+	var c *Codec
+	if kind < uint64(len(codecsByKind)) {
+		c = codecsByKind[kind]
+	}
+	if c == nil {
 		return nil, fmt.Errorf("transport: unknown message kind %d on the wire", kind)
 	}
 	msg := c.Decode(r)
@@ -131,8 +128,16 @@ func DecodeMessage(r *Reader) (interface{}, error) {
 // DecodePayload decodes a frame payload produced by EncodeMessage,
 // requiring the body to be consumed exactly.
 func DecodePayload(payload []byte) (interface{}, error) {
-	r := Reader{buf: payload}
-	msg, err := DecodeMessage(&r)
+	var r Reader
+	return r.DecodePayload(payload)
+}
+
+// DecodePayload resets r onto payload and decodes it like the
+// package-level DecodePayload. A caller decoding many payloads keeps
+// one Reader and saves the per-call Reader allocation.
+func (r *Reader) DecodePayload(payload []byte) (interface{}, error) {
+	*r = Reader{buf: payload}
+	msg, err := DecodeMessage(r)
 	if err != nil {
 		return nil, err
 	}
@@ -176,11 +181,9 @@ func (w *Writer) Bytes(b []byte) {
 // error channel per field — the panic is converted to an error at the
 // frame boundary by the sim shim's send path).
 func (w *Writer) Nested(msg interface{}) {
-	buf, err := EncodeMessage(w.buf, msg)
-	if err != nil {
+	if err := w.message(msg); err != nil {
 		panic(codecPanic{err})
 	}
-	w.buf = buf
 }
 
 // codecPanic carries a nested-encode error through Encode callbacks.
@@ -296,19 +299,18 @@ const MaxFrameBytes = 1 << 20
 
 // AppendFrame appends the length-prefixed binary encoding of f to buf:
 // uvarint body length, then varint Round and Seq, varint routing
-// coordinates, and the uvarint-prefixed payload.
+// coordinates, and the uvarint-prefixed payload. The body length is
+// computed up front, so the frame is written in place.
 func AppendFrame(buf []byte, f Frame) []byte {
-	body := make([]byte, 0, 32+len(f.Payload))
-	body = binary.AppendVarint(body, f.Round)
-	body = binary.AppendVarint(body, f.Seq)
-	body = binary.AppendVarint(body, int64(f.From))
-	body = binary.AppendVarint(body, int64(f.Port))
-	body = binary.AppendVarint(body, int64(f.To))
-	body = binary.AppendVarint(body, int64(f.Rev))
-	body = binary.AppendUvarint(body, uint64(len(f.Payload)))
-	body = append(body, f.Payload...)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
+	buf = binary.AppendUvarint(buf, uint64(frameBodyBytes(f)))
+	buf = binary.AppendVarint(buf, f.Round)
+	buf = binary.AppendVarint(buf, f.Seq)
+	buf = binary.AppendVarint(buf, int64(f.From))
+	buf = binary.AppendVarint(buf, int64(f.Port))
+	buf = binary.AppendVarint(buf, int64(f.To))
+	buf = binary.AppendVarint(buf, int64(f.Rev))
+	buf = binary.AppendUvarint(buf, uint64(len(f.Payload)))
+	return append(buf, f.Payload...)
 }
 
 // ReadFrame reads one length-prefixed frame from br.
@@ -347,21 +349,23 @@ func ReadFrame(br *bufio.Reader) (Frame, error) {
 // count AppendFrame would produce — without building the encoding, so
 // wire accounting costs no allocation.
 func FrameWireBytes(f Frame) int64 {
-	body := varintLen(f.Round) + varintLen(f.Seq) +
+	body := frameBodyBytes(f)
+	return uvarintLen(uint64(body)) + body
+}
+
+// frameBodyBytes returns the size of f's encoding after the length
+// prefix.
+func frameBodyBytes(f Frame) int64 {
+	return varintLen(f.Round) + varintLen(f.Seq) +
 		varintLen(int64(f.From)) + varintLen(int64(f.Port)) +
 		varintLen(int64(f.To)) + varintLen(int64(f.Rev)) +
 		uvarintLen(uint64(len(f.Payload))) + int64(len(f.Payload))
-	return uvarintLen(uint64(body)) + body
 }
 
 // uvarintLen returns the encoded size of x as a uvarint.
 func uvarintLen(x uint64) int64 {
-	n := int64(1)
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
+	// One byte per started group of 7 significant bits, at least one.
+	return int64(bits.Len64(x|1)+6) / 7
 }
 
 // varintLen returns the encoded size of v as a zig-zag varint.

@@ -1,11 +1,6 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "fmt"
 
 // Inproc is the in-process reference backend: per-node frame queues
 // standing in for sockets. Frames still carry codec-encoded payloads,
@@ -13,44 +8,62 @@ import (
 // ships — which is what lets the differential suite certify the codec
 // against the transportless simulator byte-for-byte, and the TCP
 // backend against Inproc.
+//
+// Inproc is single-goroutine: every method, TransportStats included,
+// runs on the goroutine that drives the run (the Transport contract
+// already puts Send and Recv there), so it takes no lock. Nothing can
+// fill an empty queue while its receiver waits, so Recv never blocks:
+// an empty queue returns ErrTimeout at once.
 type Inproc struct {
-	// RecvTimeout bounds one Recv (0 = DefaultRecvTimeout). The
-	// in-process backend cannot lose frames, so a timeout here always
-	// indicates a routing bug (or an injected fault that exhausted its
-	// retry budget upstream).
-	RecvTimeout time.Duration
-
-	mu     sync.Mutex
-	queues []*frameQueue
+	n      int
+	queues []inprocQueue
 	closed bool
-
-	framesSent atomic.Int64
-	framesRecv atomic.Int64
-	wireBytes  atomic.Int64
-	dials      atomic.Int64
+	stats  Stats
 }
-
-// DefaultRecvTimeout bounds a single Recv when the backend does not
-// override it.
-const DefaultRecvTimeout = 30 * time.Second
 
 // NewInproc returns an in-process backend; call Listen before use.
 func NewInproc() *Inproc { return &Inproc{} }
 
+// inprocQueue is one receiver's FIFO: buf[head:] are the unread
+// frames. The backing array is reused once the queue drains, so it
+// holds at most the frames one round left unread.
+type inprocQueue struct {
+	buf  []Frame
+	head int
+}
+
+func (q *inprocQueue) push(f Frame) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		// Full but partly read: slide the unread frames down instead
+		// of growing.
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	q.buf = append(q.buf, f)
+}
+
+func (q *inprocQueue) pop() (Frame, bool) {
+	if q.head == len(q.buf) {
+		return Frame{}, false
+	}
+	f := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return f, true
+}
+
 // Listen brings up the n node queues.
 func (t *Inproc) Listen(n int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.queues != nil {
-		return fmt.Errorf("transport: inproc backend already listening on %d nodes", len(t.queues))
+	if t.n > 0 {
+		return fmt.Errorf("transport: inproc backend already listening on %d nodes", t.n)
 	}
 	if n <= 0 {
 		return fmt.Errorf("transport: inproc backend needs n > 0, got %d", n)
 	}
-	t.queues = make([]*frameQueue, n)
-	for i := range t.queues {
-		t.queues[i] = newFrameQueue()
-	}
+	t.n = n
+	t.queues = make([]inprocQueue, n)
 	return nil
 }
 
@@ -61,73 +74,51 @@ type inprocLink struct {
 }
 
 // Send enqueues the frame at the destination endpoint.
-func (l inprocLink) Send(f Frame) error {
-	l.t.mu.Lock()
-	closed := l.t.closed
-	l.t.mu.Unlock()
-	if closed {
+func (l *inprocLink) Send(f Frame) error {
+	if l.t.closed {
 		return ErrClosed
 	}
-	l.t.framesSent.Add(1)
-	l.t.wireBytes.Add(FrameWireBytes(f))
+	l.t.stats.FramesSent++
+	l.t.stats.WireBytes += FrameWireBytes(f)
 	l.t.queues[l.to].push(f)
 	return nil
 }
 
 // Dial returns the from->to link.
 func (t *Inproc) Dial(from, to int) (Link, error) {
-	t.mu.Lock()
-	n := len(t.queues)
-	t.mu.Unlock()
-	if err := checkNode("dialing", from, n); err != nil {
+	if err := checkNode("dialing", from, t.n); err != nil {
 		return nil, err
 	}
-	if err := checkNode("dialed", to, n); err != nil {
+	if err := checkNode("dialed", to, t.n); err != nil {
 		return nil, err
 	}
-	t.dials.Add(1)
-	return inprocLink{t: t, to: to}, nil
+	t.stats.Dials++
+	return &inprocLink{t: t, to: to}, nil
 }
 
-// Recv pops the next frame arrived at node to.
+// Recv pops the next frame queued at node to, or returns ErrTimeout
+// (wrapped) at once if there is none.
 func (t *Inproc) Recv(to int) (Frame, error) {
-	t.mu.Lock()
-	n := len(t.queues)
-	t.mu.Unlock()
-	if err := checkNode("receiving", to, n); err != nil {
+	if t.closed {
+		return Frame{}, ErrClosed
+	}
+	if err := checkNode("receiving", to, t.n); err != nil {
 		return Frame{}, err
 	}
-	timeout := t.RecvTimeout
-	if timeout <= 0 {
-		timeout = DefaultRecvTimeout
+	f, ok := t.queues[to].pop()
+	if !ok {
+		return Frame{}, fmt.Errorf("transport: inproc node %d has no frame queued: %w", to, ErrTimeout)
 	}
-	f, err := t.queues[to].pop(timeout)
-	if err == nil {
-		t.framesRecv.Add(1)
-	}
-	return f, err
+	t.stats.FramesRecv++
+	return f, nil
 }
 
-// Close tears the queues down; blocked Recv calls return ErrClosed.
+// Close drops the queues; later Send and Recv calls return ErrClosed.
 func (t *Inproc) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
 	t.closed = true
-	for _, q := range t.queues {
-		q.close()
-	}
+	t.queues = nil
 	return nil
 }
 
 // TransportStats returns the wire accounting snapshot.
-func (t *Inproc) TransportStats() Stats {
-	return Stats{
-		FramesSent: t.framesSent.Load(),
-		FramesRecv: t.framesRecv.Load(),
-		WireBytes:  t.wireBytes.Load(),
-		Dials:      t.dials.Load(),
-	}
-}
+func (t *Inproc) TransportStats() Stats { return t.stats }

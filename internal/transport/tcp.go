@@ -47,6 +47,8 @@ const (
 	MaxBackoff = 100 * time.Millisecond
 	// DefaultDialTimeout bounds one connection attempt.
 	DefaultDialTimeout = 2 * time.Second
+	// DefaultRecvTimeout bounds one Recv, the round-barrier deadline.
+	DefaultRecvTimeout = 30 * time.Second
 )
 
 // withDefaults resolves the zero fields.

@@ -6,11 +6,12 @@
 //
 // Two backends implement the Transport interface:
 //
-//   - Inproc — channel-backed endpoints in the same process. Frames
-//     still pass through the full encode/decode path, so the backend
-//     proves codec fidelity: a run over Inproc is byte-identical to a
-//     run without any transport (the enginediff-style differential
-//     suite in internal/problem enforces it).
+//   - Inproc — per-node frame queues in the same process, used by
+//     the scheduler goroutine alone. Frames still pass through the
+//     full encode/decode path, so the backend proves codec
+//     fidelity: a run over Inproc is byte-identical to a run without
+//     any transport (the enginediff-style differential suite in
+//     internal/problem enforces it).
 //   - TCP — every node is a long-lived TCP server on a loopback port;
 //     links are dialed lazily, frames are length-prefixed binary
 //     records, sends retry with deadline/backoff across redials, and
@@ -56,7 +57,8 @@ type Frame struct {
 	// To and Rev identify the receive: node To hears the copy on its
 	// port Rev (the reverse port of the send).
 	To, Rev int32
-	// Payload is the encoded message body.
+	// Payload is the encoded message body. The sender owns its
+	// bytes; see Transport for how long they stay valid.
 	Payload []byte
 }
 
@@ -78,14 +80,23 @@ type Link interface {
 // endpoints of one simulation run. All methods except the endpoint
 // internals are called from the scheduler goroutine only; Listen is
 // called exactly once, before any Dial or Recv.
+//
+// Payload ownership: a frame's Payload is valid until the end of the
+// drain of the frame's round. The simulator encodes payloads into a
+// per-run slab (see Slab) and rewrites it after every drain, so a
+// backend that keeps a frame longer — a retransmit, a duplicate left
+// in a queue — may only read its header after that: the drain skips a
+// stale frame by its Round before it decodes anything. A backend that
+// ships bytes out of process (TCP) copies them during Send.
 type Transport interface {
 	// Listen brings up the receive endpoints of nodes 0..n-1.
 	Listen(n int) error
 	// Dial establishes (or returns) the from->to link.
 	Dial(from, to int) (Link, error)
-	// Recv blocks for the next frame arrived at node to, up to the
-	// backend's receive deadline. It returns ErrTimeout (wrapped) when
-	// the deadline passes and ErrClosed after Close.
+	// Recv returns the next frame arrived at node to, waiting at most
+	// the backend's receive deadline (Inproc does not wait: nothing
+	// can arrive while the scheduler is in Recv). It returns ErrTimeout
+	// (wrapped) when no frame came in time and ErrClosed after Close.
 	Recv(to int) (Frame, error)
 	// Close tears the backend down: endpoints stop accepting, links
 	// close, and blocked Recv calls return ErrClosed.

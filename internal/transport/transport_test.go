@@ -199,6 +199,75 @@ func exerciseBackend(t *testing.T, tx Transport, n int) {
 
 func TestInprocExchange(t *testing.T) { exerciseBackend(t, NewInproc(), 5) }
 
+// TestInprocRecvEmptyQueue pins the single-goroutine backend's
+// barrier: nothing can fill an empty queue while its receiver waits,
+// so Recv returns ErrTimeout at once — before and after the queue
+// held frames — and a drained queue keeps its FIFO order on reuse.
+func TestInprocRecvEmptyQueue(t *testing.T) {
+	tx := NewInproc()
+	if err := tx.Listen(2); err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	start := time.Now()
+	if _, err := tx.Recv(1); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Recv on an empty queue: got %v, want ErrTimeout", err)
+	}
+	l, err := tx.Dial(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := int64(1); round <= 3; round++ {
+		for seq := int64(0); seq < 3; seq++ {
+			if err := l.Send(Frame{Round: round, Seq: seq, To: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for seq := int64(0); seq < 3; seq++ {
+			f, err := tx.Recv(1)
+			if err != nil || f.Round != round || f.Seq != seq {
+				t.Fatalf("round %d: Recv #%d got (%+v, %v)", round, seq, f, err)
+			}
+		}
+		if _, err := tx.Recv(1); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("round %d: Recv on a drained queue: got %v, want ErrTimeout", round, err)
+		}
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("Recv on empty queues took %v, want no wait", waited)
+	}
+}
+
+// TestInprocQueueSlide keeps a queue from ever draining — one frame
+// stays unread across every round, like a leftover duplicate — and
+// checks that it stays FIFO and that its array stays bounded by the
+// frames it holds instead of growing with the frames it has carried.
+func TestInprocQueueSlide(t *testing.T) {
+	var q inprocQueue
+	var pushed, popped int64
+	q.push(Frame{Round: pushed})
+	pushed++
+	for round := 0; round < 1000; round++ {
+		for k := 0; k < 3; k++ {
+			q.push(Frame{Round: pushed})
+			pushed++
+		}
+		for k := 0; k < 3; k++ {
+			f, ok := q.pop()
+			if !ok || f.Round != popped {
+				t.Fatalf("round %d: pop got (%d, %v), want frame %d", round, f.Round, ok, popped)
+			}
+			popped++
+		}
+	}
+	if held := len(q.buf) - q.head; held != 1 {
+		t.Fatalf("queue holds %d frame(s), want 1", held)
+	}
+	if c := cap(q.buf); c > 8 {
+		t.Fatalf("queue array grew to %d frames for at most 4 held", c)
+	}
+}
+
 func TestTCPExchange(t *testing.T) { exerciseBackend(t, NewTCP(TCPConfig{}), 5) }
 
 func TestFaultyInprocExchange(t *testing.T) {
@@ -224,7 +293,6 @@ func TestFaultyPermanentDrop(t *testing.T) {
 	if err := l.Send(Frame{Round: 1, To: 1}); err != nil {
 		t.Fatalf("permanent drop should swallow the frame, got %v", err)
 	}
-	tx.inner.(*Inproc).RecvTimeout = 20 * time.Millisecond
 	if _, err := tx.Recv(1); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("Recv after permanent drop: got %v, want ErrTimeout", err)
 	}

@@ -562,7 +562,9 @@ type TransportFaultConfig = transport.FaultConfig
 
 // NewInprocTransport returns the in-process reference backend: frames
 // pass through the full encode/decode path without leaving the
-// process, proving codec fidelity at zero deployment cost.
+// process, proving codec fidelity at zero deployment cost. It is not
+// safe for concurrent use: call it, TransportStatsOf included, from
+// the goroutine that runs the simulation or after the run.
 func NewInprocTransport() Transport { return transport.NewInproc() }
 
 // NewTCPTransport returns the TCP backend: every node a long-lived
